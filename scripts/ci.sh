@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, and run the full gtest suite via ctest.
-# Usage: scripts/ci.sh [build-dir] [--sanitize|--tsan|--tsan-stress|--replay|--analyze|--incident] [--simd-off]
+# Usage: scripts/ci.sh [build-dir] [--sanitize|--tsan|--tsan-stress|--replay|--analyze|--incident|--shuffle] [--simd-off]
 #   --sanitize     Debug build with ASan+UBSan (keeps the streaming/worker-pool
 #                  concurrency sanitizer-clean).
 #   --tsan         Debug build with ThreadSanitizer (pins that per-lane
@@ -35,6 +35,10 @@
 #                  portable steps still gate.
 #   --analyze-full clang-tidy over the whole tree instead of the changed
 #                  set (the scheduled-job configuration).
+#   --shuffle      Coupling guard: the full suite under
+#                  `ctest -j$(nproc) --schedule-random --repeat until-fail:3`,
+#                  so tests that share files or global state and only pass
+#                  in one order (or one at a time) fail loudly.
 #   --simd-off     Configure with -DSLJ_SIMD=OFF (the scalar reference
 #                  backend). Composes with any mode above: the SIMD and
 #                  scalar paths promise bit-identical output, so every lane
@@ -87,6 +91,9 @@ for arg in "$@"; do
       ;;
     --incident)
       MODE="incident"
+      ;;
+    --shuffle)
+      MODE="shuffle"
       ;;
     --analyze-full)
       MODE="analyze"
@@ -260,6 +267,10 @@ elif [[ "$MODE" == "tsan-stress" ]]; then
   "$BUILD_DIR/test_ingest" \
     --gtest_filter='IngestService.MultiProducerStress*:FrameQueue.*' \
     --gtest_repeat=5
+elif [[ "$MODE" == "shuffle" ]]; then
+  cmake --build "$BUILD_DIR" -j
+  cd "$BUILD_DIR" || exit 1
+  ctest --output-on-failure -j "$(nproc)" --schedule-random --repeat until-fail:3
 else
   cmake --build "$BUILD_DIR" -j
   cd "$BUILD_DIR" || exit 1

@@ -29,8 +29,9 @@ ClipEvaluation evaluate_clip(const pose::PoseDbnClassifier& classifier, FramePip
   pipeline.set_background(clip.background);
   pose::PoseDbnClassifier::SequenceState state = classifier.initial_state();
   GroundMonitor ground;
+  FrameWorkspace ws;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    const FrameObservation obs = pipeline.process(clip.frames[i], ws);
     const bool airborne = ground.airborne(obs.bottom_row);
     score_frame(eval, classifier, obs, airborne, clip.truth[i].pose, clip.truth[i].stage,
                 state);

@@ -46,27 +46,28 @@ FrameObservation FramePipeline::process(const RgbImage& frame, detect::BlobTrack
 }
 
 SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, FrameWorkspace& ws,
-                                 FrameObservation& out, BandExecutor* exec) const {
+                                              FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
     SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
-    extractor_.extract_into(frame, ws, out.silhouette, exec);
+    extractor_.extract_into(frame, ws, out.silhouette);
   }
   finish_observation(ws, out);
 }
 
 SLJ_HOT_PATH void FramePipeline::process_into(const RgbImage& frame, detect::BlobTracker& tracker,
-                                 FrameWorkspace& ws, FrameObservation& out,
-                                 BandExecutor* exec) const {
+                                              FrameWorkspace& ws, FrameObservation& out) const {
   obs::TraceSpan trace("vision");
   {
     SLJ_PROFILE_SCOPE(ProfileStage::kExtract);
-    extractor_.extract_into(frame, ws, out.silhouette, exec);
+    extractor_.extract_into(frame, ws, out.silhouette);
     // The extractor is done with ws.labeling/pixel_stack; the tracker's
     // component pass reuses them instead of allocating its own Labeling.
     const detect::TrackResult track = tracker.update(ws.smoothed, ws.labeling, ws.pixel_stack);
     if (track.measured) {
-      fill_holes_into(track.mask, ws.reached, ws.flood_stack, out.silhouette);
+      // The tracked blob is a component of ws.smoothed, so the extraction's
+      // box holds it with the same background ring.
+      fill_holes_into(track.mask, ws.roi, ws.reached, ws.flood_stack, out.silhouette);
     }
     // else: keep the extractor's own cleanup (already in out.silhouette) so
     // the clip keeps flowing, matching process(frame, tracker).

@@ -18,11 +18,11 @@
 // SLJ_SIMD=OFF.
 //
 // Bit-identity contract. The vision kernels are integer-domain: every value
-// flowing through these vectors is either a small integer widened to double
-// (pixel sums in a summed-area table — exact in IEEE double far beyond any
-// supported image size) or the result of per-lane IEEE arithmetic on such
-// values. Under that precondition the SIMD paths are bit-identical to the
-// scalar paths, because:
+// flowing through these vectors is either a small integer (moving-window
+// pixel sums, pixel counts), such an integer widened to double (exact in
+// IEEE double far beyond any supported image size), or the result of
+// per-lane IEEE arithmetic on such values. Under that precondition the SIMD
+// paths are bit-identical to the scalar paths, because:
 //   * lane-wise +, -, *, / , min/max and |x| are single correctly-rounded
 //     IEEE operations, identical to their scalar counterparts;
 //   * inclusive_scan() reassociates additions, which is only exact — and
@@ -452,6 +452,86 @@ struct VecU16<NeonBackend> {
 };
 #endif  // SLJ_SIMD_NEON
 
+// ---- VecI32: a fixed-width vector of 32-bit window sums --------------------
+//
+// Backs the exact integer moving-window kernel (imaging/row_kernels.hpp):
+// sliding column sums of 8-bit pixels and their n-tap row sums. Every value
+// is an exact integer far below 2^31, so wrap-around never occurs and the
+// lane arithmetic is trivially identical to the scalar twin's. Only AVX2
+// has a wide form; every other backend uses this one-lane primary template.
+
+template <class Backend>
+struct VecI32 {
+  static constexpr int kLanes = 1;
+  std::int32_t v;
+
+  static VecI32 load(const std::int32_t* p) { return {*p}; }
+  /// Loads kLanes bytes zero-extended to 32 bits.
+  static VecI32 load_u8(const std::uint8_t* p) { return {*p}; }
+  void store(std::int32_t* p) const { *p = v; }
+
+  friend VecI32 operator+(VecI32 a, VecI32 b) { return {a.v + b.v}; }
+  friend VecI32 operator-(VecI32 a, VecI32 b) { return {a.v - b.v}; }
+};
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+struct VecI32<Avx2Backend> {
+  static constexpr int kLanes = 8;
+  __m256i v;
+
+  static VecI32 load(const std::int32_t* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  static VecI32 load_u8(const std::uint8_t* p) {
+    return {_mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))};
+  }
+  void store(std::int32_t* p) const { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
+
+  friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm256_add_epi32(a.v, b.v)}; }
+  friend VecI32 operator-(VecI32 a, VecI32 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+};
+#endif  // SLJ_SIMD_AVX2
+
+/// Splits n interleaved triples into three planes: r[i] = in[3i],
+/// g[i] = in[3i+1], b[i] = in[3i+2]. Pure data movement, so every backend
+/// writes the same values. The primary template is the scalar twin and the
+/// form every backend but AVX2 uses.
+template <class Backend>
+inline void deinterleave3_i32(const std::int32_t* in, std::int32_t* r, std::int32_t* g,
+                              std::int32_t* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = in[3 * i];
+    g[i] = in[3 * i + 1];
+    b[i] = in[3 * i + 2];
+  }
+}
+
+#if defined(SLJ_SIMD_AVX2)
+template <>
+inline void deinterleave3_i32<Avx2Backend>(const std::int32_t* in, std::int32_t* r,
+                                           std::int32_t* g, std::int32_t* b, std::size_t n) {
+  // Eight triples per step: blend the three source vectors so each lane holds
+  // the wanted channel, then one permute puts the lanes in pixel order.
+  const __m256i idx_r = _mm256_setr_epi32(0, 3, 6, 1, 4, 7, 2, 5);
+  const __m256i idx_g = _mm256_setr_epi32(1, 4, 7, 2, 5, 0, 3, 6);
+  const __m256i idx_b = _mm256_setr_epi32(2, 5, 0, 3, 6, 1, 4, 7);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 3 * i));
+    const __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 3 * i + 8));
+    const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 3 * i + 16));
+    const __m256i tr = _mm256_blend_epi32(_mm256_blend_epi32(a, m, 0x92), c, 0x24);
+    const __m256i tg = _mm256_blend_epi32(_mm256_blend_epi32(a, m, 0x24), c, 0x49);
+    const __m256i tb = _mm256_blend_epi32(_mm256_blend_epi32(a, m, 0x49), c, 0x92);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + i), _mm256_permutevar8x32_epi32(tr, idx_r));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), _mm256_permutevar8x32_epi32(tg, idx_g));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + i), _mm256_permutevar8x32_epi32(tb, idx_b));
+  }
+  deinterleave3_i32<ScalarBackend>(in + 3 * i, r + i, g + i, b + i, n - i);
+}
+#endif  // SLJ_SIMD_AVX2
+
 // ---- byte-plane primitives -------------------------------------------------
 
 /// Index of the first nonzero byte in [p, p + n), or n when all are zero.
@@ -469,6 +549,23 @@ inline std::size_t find_nonzero(const std::uint8_t* p, std::size_t n) {
   // Scalar sweep inside the hit block (and over the tail).
   for (; i < n; ++i) {
     if (p[i] != 0) return i;
+  }
+  return n;
+}
+
+/// Index of the last nonzero byte in [p, p + n), or n when all are zero —
+/// find_nonzero's mirror, for the right edge of a bounding box.
+template <class Backend>
+inline std::size_t find_last_nonzero(const std::uint8_t* p, std::size_t n) {
+  using V = VecU8<Backend>;
+  std::size_t i = n;
+  while (i >= static_cast<std::size_t>(V::kLanes)) {
+    if (V::load(p + i - V::kLanes).any()) break;
+    i -= V::kLanes;
+  }
+  // Scalar sweep down through the hit block (and the head).
+  for (; i > 0; --i) {
+    if (p[i - 1] != 0) return i - 1;
   }
   return n;
 }

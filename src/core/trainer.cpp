@@ -11,9 +11,12 @@ TrainingStats train_on_clip(pose::PoseDbnClassifier& classifier, FramePipeline& 
   pose::PoseId prev = pose::kResetPose;
   pose::Stage stage = pose::Stage::kBeforeJumping;
   GroundMonitor ground;
+  // The workspace path gives process(frame)'s observation bit for bit,
+  // without its per-frame full-frame allocations.
+  FrameWorkspace ws;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
     ++stats.frames;
-    const FrameObservation obs = pipeline.process(clip.frames[i]);
+    const FrameObservation obs = pipeline.process(clip.frames[i], ws);
     const bool airborne = ground.airborne(obs.bottom_row);
     const synth::FrameTruth& truth = clip.truth[i];
 
@@ -68,13 +71,14 @@ TrainingStats train_on_dataset(pose::PoseDbnClassifier& classifier, FramePipelin
   TrainingStats stats;
   std::vector<Tuple> tuples;
   std::vector<bayes::TanSample> samples;
+  FrameWorkspace ws;
   for (const synth::Clip& clip : dataset.train) {
     pipeline.set_background(clip.background);
     pose::PoseId prev = pose::kResetPose;
     GroundMonitor ground;
     for (std::size_t i = 0; i < clip.frames.size(); ++i) {
       ++stats.frames;
-      const FrameObservation obs = pipeline.process(clip.frames[i]);
+      const FrameObservation obs = pipeline.process(clip.frames[i], ws);
       const bool airborne = ground.airborne(obs.bottom_row);
       const synth::FrameTruth& truth = clip.truth[i];
       pose::PartPoints gt{truth.parts.head, truth.parts.chest, truth.parts.hand,

@@ -1,13 +1,13 @@
-// FrameWorkspace: every full-frame scratch buffer the per-frame vision
-// pipeline needs — window-mean integral tables and planes, difference /
-// normalized / mask images, connected-component and hole-fill scratch, and
+// FrameWorkspace: every scratch buffer the per-frame vision pipeline needs —
+// the integer window-sum kernel's rows, difference and mask images,
+// connected-component and hole-fill scratch, the skeleton-graph maps, and
 // the thinning frontier state. One workspace per worker lane (ClipEngine)
 // or per live session (StreamEngine) makes steady-state frame processing
 // free of full-frame heap allocations: every buffer is sized on the first
 // frame and reused for the rest of the run.
 //
 // A workspace is plain mutable state with no invariants of its own; the
-// into-style functions that take one (`window_mean_rgb_into`,
+// into-style functions that take one (`build_rgb_integrals`,
 // `ObjectExtractor::extract_into`, `zhang_suen_thin_into`, ...) each resize
 // what they use, so a single workspace can serve frames of changing sizes
 // (it re-allocates only when a frame outgrows the high-water mark). It is
@@ -18,35 +18,27 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "imaging/band_executor.hpp"
 #include "imaging/connected.hpp"
 #include "imaging/image.hpp"
 #include "imaging/integral.hpp"
 
 namespace slj {
 
-/// Scratch for the row-banded kernels: per-band row staging for the SAT
-/// builders, per-band carry rows, and per-band reduction slots. Sized by the
-/// kernels on each call (steady state: no reallocation); bands never share
-/// a slice, so the buffers are safe under concurrent band execution.
-struct BandScratch {
-  std::vector<std::int32_t> stage;    ///< int32 row prefix sums, per band
-  std::vector<double> carry;          ///< SAT carry rows, per channel per band
-  std::vector<double> band_max;       ///< per-band max(D) reduction slots
-  std::vector<std::uint16_t> colsum;  ///< sliding column counts, per band
-};
-
 struct FrameWorkspace {
   // --- windowed-mean scratch (paper Sec. 2 step ii) ---
-  IntegralImage integral_r;  ///< summed-area tables of the current frame
+  WindowSumScratch window_sums;  ///< exact integer moving-window kernel
+  IntegralImage integral_r;  ///< build_rgb_integrals' summed-area tables
   IntegralImage integral_g;
   IntegralImage integral_b;
-  RgbMeans aave;             ///< the frame's moving-window mean planes
 
   // --- segmentation scratch (ObjectExtractor::extract_into) ---
   Image<double> difference;  ///< D(i,j) = |ΔR| + |ΔG| + |ΔB|
   BinaryImage raw_mask;      ///< thresholded mask before smoothing
-  IntegralImage mask_integral;  ///< SAT of raw_mask for the binary median
+  /// The raw mask's bounding box grown by median_window/2 + 1 and clipped
+  /// to the frame: every later stage of the last extract_into ran inside
+  /// it, and smoothed / largest / the silhouette are zero outside it.
+  Roi roi;
+  std::vector<std::uint16_t> mask_integral;  ///< the binary median's column counts
   BinaryImage smoothed;      ///< after median smoothing (tracker input)
   BinaryImage largest;       ///< largest-component mask
   Labeling labeling;         ///< connected-component labels + stats
@@ -55,6 +47,7 @@ struct FrameWorkspace {
   std::vector<std::uint32_t> flood_stack;   ///< index stack for hole filling
 
   // --- skeleton-graph scratch (build_skeleton_graph / clean_skeleton) ---
+  // (box-sized: the graph build works inside the skeleton's bounding box)
   BinaryImage junction_mask;           ///< degree>=3 skeleton pixels ("is_junction")
   Labeling junction_labeling;          ///< 8-connected junction clusters / stats label image
   std::vector<PointI> junction_stack;  ///< DFS stack for the above
@@ -68,47 +61,13 @@ struct FrameWorkspace {
   std::vector<std::uint32_t> thin_eval;       ///< candidates being consumed
   std::vector<std::uint32_t> thin_deletions;  ///< simultaneous-deletion list
   std::vector<std::uint8_t> thin_marks;       ///< bit0/bit1: queued per type
-
-  // --- row-banded kernel scratch (band_executor.hpp) ---
-  BandScratch band_scratch;
 };
 
-/// Allocation-free variant of window_mean_rgb: builds the per-channel
-/// summed-area tables in ws.integral_{r,g,b} and the mean planes in ws.aave,
-/// reusing their storage. Values are bit-identical to window_mean_rgb.
-SLJ_HOT_PATH void window_mean_rgb_into(const RgbImage& img, int n, FrameWorkspace& ws,
-                                       BandExecutor* exec = nullptr);
-
 /// Builds the three per-channel summed-area tables of `img` into
-/// ws.integral_{r,g,b} in one fused pass over the frame (one read per pixel
-/// instead of three), vectorized on the configured slj::simd backend and —
-/// when `exec` is banded — split into per-band local tables stitched with
-/// carry rows. Same per-channel recurrence as IntegralImage::assign, so
-/// every table entry is bit-identical at any backend and any band count.
-void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws, BandExecutor* exec = nullptr);
-
-/// Serial scalar-backend twin of build_rgb_integrals, always compiled: the
-/// reference the SIMD-vs-scalar property suite compares against (and the
-/// whole story when the build sets SLJ_SIMD=OFF).
-void build_rgb_integrals_scalar(const RgbImage& img, FrameWorkspace& ws);
-
-/// Window sum for a window known to lie fully inside the image: the four
-/// clamp-free table loads of IntegralImage::sum in the same order, so the
-/// result is bit-identical to sum(x-half, y-half, x+half, y+half). `tab` and
-/// `stride` come from IntegralImage::raw()/stride().
-inline double interior_window_sum(const double* tab, std::size_t stride, int x, int y, int half) {
-  const std::size_t r0 = static_cast<std::size_t>(y - half) * stride;      // table row y0
-  const std::size_t r1 = static_cast<std::size_t>(y + half + 1) * stride;  // table row y1+1
-  const std::size_t c0 = static_cast<std::size_t>(x - half);               // table col x0
-  const std::size_t c1 = static_cast<std::size_t>(x + half + 1);           // table col x1+1
-  return tab[r1 + c1] - tab[r1 + c0] - tab[r0 + c1] + tab[r0 + c0];
-}
-
-/// Interior window mean: interior_window_sum over `area`, which must be the
-/// window's pixel count as a double (bit-identical to window_mean there).
-inline double interior_window_mean(const double* tab, std::size_t stride, int x, int y, int half,
-                                   double area) {
-  return interior_window_sum(tab, stride, x, y, half) / area;
-}
+/// ws.integral_{r,g,b} with IntegralImage's own recurrence, reusing their
+/// storage. The extractor reads no tables (it runs the integer window
+/// kernel); the tables serve the stage benchmarks and the table-based
+/// reference.
+void build_rgb_integrals(const RgbImage& img, FrameWorkspace& ws);
 
 }  // namespace slj

@@ -21,6 +21,51 @@ struct Rgb {
 
   friend constexpr bool operator==(const Rgb&, const Rgb&) = default;
 };
+static_assert(sizeof(Rgb) == 3, "RGB frames are read as interleaved byte rows");
+
+/// Half-open pixel rectangle [x0, x1) × [y0, y1) in frame coordinates. The
+/// back end of the extractor runs inside one: the foreground's bounding box,
+/// grown by the stages' reach.
+struct Roi {
+  int x0 = 0;
+  int y0 = 0;
+  int x1 = 0;
+  int y1 = 0;
+
+  int width() const { return x1 - x0; }
+  int height() const { return y1 - y0; }
+  bool empty() const { return x1 <= x0 || y1 <= y0; }
+  bool contains(int x, int y) const { return x >= x0 && x < x1 && y >= y0 && y < y1; }
+
+  /// Grown by `pad` on every side, then clipped to a width × height frame.
+  /// An empty box stays empty.
+  Roi padded(int pad, int width, int height) const {
+    if (empty()) return {};
+    return {std::max(x0 - pad, 0), std::max(y0 - pad, 0), std::min(x1 + pad, width),
+            std::min(y1 + pad, height)};
+  }
+
+  friend bool operator==(const Roi&, const Roi&) = default;
+};
+
+/// Borrowed, strided window onto pixels owned elsewhere: `origin` points at
+/// pixel (roi.x0, roi.y0), rows are `stride` elements apart, and at(x, y)
+/// takes the frame coordinates of the image the view was cut from — so
+/// stats and positions computed through a view need no offset fix-up.
+template <typename T>
+struct ImageView {
+  T* origin = nullptr;
+  std::size_t stride = 0;
+  Roi roi;
+
+  /// Pointer to pixel (roi.x0, y).
+  T* row(int y) const { return origin + static_cast<std::size_t>(y - roi.y0) * stride; }
+  T& at(int x, int y) const {
+    assert(roi.contains(x, y));
+    return row(y)[x - roi.x0];
+  }
+  bool in_bounds(int x, int y) const { return roi.contains(x, y); }
+};
 
 /// Row-major 2-D pixel buffer.
 ///
@@ -78,6 +123,18 @@ class Image {
   const std::vector<T>& data() const { return data_; }
   std::vector<T>& data() { return data_; }
 
+  /// The whole image as a Roi.
+  Roi bounds() const { return {0, 0, width_, height_}; }
+
+  /// Strided views of the pixels inside `roi`, which must lie within the
+  /// image.
+  ImageView<T> view(Roi roi) {
+    return {data_.data() + offset_of(roi), static_cast<std::size_t>(width_), roi};
+  }
+  ImageView<const T> view(Roi roi) const {
+    return {data_.data() + offset_of(roi), static_cast<std::size_t>(width_), roi};
+  }
+
   friend bool operator==(const Image&, const Image&) = default;
 
  private:
@@ -86,6 +143,13 @@ class Image {
       throw std::invalid_argument("Image dimensions must be non-negative");
     }
     return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
+  }
+
+  std::size_t offset_of(Roi roi) const {
+    assert(roi.empty() || (roi.x0 >= 0 && roi.y0 >= 0 && roi.x1 <= width_ && roi.y1 <= height_));
+    return roi.empty() ? 0
+                       : static_cast<std::size_t>(roi.y0) * static_cast<std::size_t>(width_) +
+                             static_cast<std::size_t>(roi.x0);
   }
 
   int width_ = 0;

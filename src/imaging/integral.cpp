@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/simd.hpp"
+#include "imaging/row_kernels.hpp"
+
 namespace slj {
 
 double IntegralImage::sum(int x0, int y0, int x1, int y1) const {
@@ -50,6 +53,35 @@ RgbMeans window_mean_rgb(const RgbImage& img, int n) {
     }
   }
   return out;
+}
+
+void window_mean_rgb_into(const RgbImage& img, int n, WindowSumScratch& scratch, RgbMeans& out) {
+  require_odd_window(n);
+  const int w = img.width();
+  const int h = img.height();
+  out.r.resize_discard(w, h);
+  out.g.resize_discard(w, h);
+  out.b.resize_discard(w, h);
+  double* planes[3] = {out.r.data().data(), out.g.data().data(), out.b.data().data()};
+  rowk::window_sum_rows<simd::Active>(
+      img, n, scratch,
+      [&](int y, int rows, const std::int32_t* sr, const std::int32_t* sg, const std::int32_t* sb) {
+        using V = simd::VecF64<simd::Active>;
+        const double* widths = scratch.widths.data();
+        const V vrows = V::broadcast(static_cast<double>(rows));
+        const std::int32_t* sums[3] = {sr, sg, sb};
+        const std::size_t base = static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+        for (int c = 0; c < 3; ++c) {
+          double* out_row = planes[c] + base;
+          int x = 0;
+          for (; x + V::kLanes <= w; x += V::kLanes) {
+            (V::load_i32(sums[c] + x) / (V::load(widths + x) * vrows)).store(out_row + x);
+          }
+          for (; x < w; ++x) {
+            out_row[x] = static_cast<double>(sums[c][x]) / (widths[x] * static_cast<double>(rows));
+          }
+        }
+      });
 }
 
 Image<double> window_mean_gray(const GrayImage& img, int n) {

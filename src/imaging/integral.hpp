@@ -48,32 +48,9 @@ class IntegralImage {
   /// Inclusive-rectangle sum over [x0, x1] × [y0, y1]; clamps to the image.
   double sum(int x0, int y0, int x1, int y1) const;
 
-  /// Resizes to a zeroed (width+1) × (height+1) table and returns its raw
-  /// storage, for external row-major filling with the same recurrence as
-  /// assign() (the FrameWorkspace fused RGB builder). Row y of the source
-  /// lands at raw()[(y+1) * stride() + x + 1].
-  double* raw_prepare(int width, int height) {
-    table_.assign(checked_table_size(width, height), 0.0);
-    width_ = width;
-    height_ = height;
-    return table_.data();
-  }
-
-  /// Like raw_prepare, but leaves every entry unspecified instead of zeroing
-  /// the table. For builders that overwrite the entire table themselves
-  /// (row 0, column 0 included) — skipping the full-table clear is a
-  /// measurable win at frame rate.
-  double* raw_prepare_discard(int width, int height) {
-    table_.resize(checked_table_size(width, height));
-    width_ = width;
-    height_ = height;
-    return table_.data();
-  }
-
-  /// Raw table access for clamp-free interior window sums; entries are laid
-  /// out as described at raw_prepare().
+  /// Raw table: (width+1) × (height+1) entries, row-major; row y of the
+  /// source sums lands at raw()[(y+1) * (width+1) + x + 1].
   const double* raw() const { return table_.data(); }
-  std::size_t stride() const { return static_cast<std::size_t>(width_) + 1; }
 
   /// Mean of the window centred at (x, y) with side `n` (odd), clamped at
   /// image borders (the divisor is the clamped area, so border means stay
@@ -119,6 +96,22 @@ struct RgbMeans {
 };
 
 RgbMeans window_mean_rgb(const RgbImage& img, int n);
+
+/// Scratch of the exact integer moving-window kernel (rowk::window_sum_rows
+/// in imaging/row_kernels.hpp). Sized on each call; steady-state callers
+/// (one per workspace or background model) never reallocate.
+struct WindowSumScratch {
+  std::vector<std::int32_t> col;     ///< interleaved RGB column sums, 3·w
+  std::vector<std::int32_t> padded;  ///< the column sums as 3 zero-padded planes
+  std::vector<std::int32_t> sums;    ///< the current row's window sums, 3 planes of w
+  std::vector<double> widths;        ///< clamped window width of each column
+};
+
+/// Allocation-free window_mean_rgb on the exact integer kernel: window sums
+/// from sliding integer column sums, each divided by its clamped area with
+/// the same IEEE division IntegralImage::window_mean performs on the same
+/// integer — bit-identical to window_mean_rgb. `n` must be odd and >= 1.
+void window_mean_rgb_into(const RgbImage& img, int n, WindowSumScratch& scratch, RgbMeans& out);
 
 /// Moving-window mean of a grayscale image.
 Image<double> window_mean_gray(const GrayImage& img, int n);

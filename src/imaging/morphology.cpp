@@ -66,13 +66,20 @@ BinaryImage fill_holes(const BinaryImage& img) {
 }
 
 SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
-                     std::vector<std::uint32_t>& stack, BinaryImage& out) {
-  const int w = img.width();
-  const int h = img.height();
-  out.resize_discard(w, h);
-  if (w == 0 || h == 0) return;
-  // Flood the background from the border (4-connectivity keeps diagonal
-  // silhouette boundaries watertight), then invert what was not reached.
+                                  std::vector<std::uint32_t>& stack, BinaryImage& out) {
+  fill_holes_into(img, img.bounds(), reached, stack, out);
+}
+
+SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, Roi roi, BinaryImage& reached,
+                                  std::vector<std::uint32_t>& stack, BinaryImage& out) {
+  out.assign(img.width(), img.height(), 0);
+  if (roi.empty()) return;
+  const ImageView<const std::uint8_t> src = img.view(roi);
+  const int w = roi.width();
+  const int h = roi.height();
+  // Flood the background from the roi's border (4-connectivity keeps
+  // diagonal silhouette boundaries watertight), then invert what was not
+  // reached.
   //
   // The flood runs on a "closed" map padded by two cells per side: the
   // outermost ring is pre-closed sentinel (so neighbour indices never leave
@@ -84,7 +91,6 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
   const int ph = h + 4;
   reached.resize_discard(pw, ph);  // holds the closed map, not plain reach
   std::uint8_t* closed = reached.data().data();
-  const std::uint8_t* src = img.data().data();
   for (int py = 0; py < ph; ++py) {
     std::uint8_t* row = closed + static_cast<std::size_t>(py) * pw;
     if (py == 0 || py == ph - 1) {
@@ -100,7 +106,7 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
     row[1] = 0;
     row[pw - 2] = 0;
     // Any nonzero source byte closes the cell, so the row copies verbatim.
-    std::memcpy(row + 2, src + static_cast<std::size_t>(py - 2) * w, static_cast<std::size_t>(w));
+    std::memcpy(row + 2, src.row(roi.y0 + py - 2), static_cast<std::size_t>(w));
   }
   // Scanline flood from a single seed on the open border ring (the ring is
   // 4-connected, so one seed reaches all of it). Each popped seed closes its
@@ -139,11 +145,10 @@ SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
     }
   }
   // A background pixel still open is an interior hole: fill it.
-  std::uint8_t* dst = out.data().data();
+  const ImageView<std::uint8_t> dst = out.view(roi);
   for (int y = 0; y < h; ++y) {
-    const std::uint8_t* src_row = src + static_cast<std::size_t>(y) * w;
     const std::uint8_t* closed_row = closed + static_cast<std::size_t>(y + 2) * pw + 2;
-    simd::store_fill01_u8<simd::Active>(src_row, closed_row, dst + static_cast<std::size_t>(y) * w,
+    simd::store_fill01_u8<simd::Active>(src.row(roi.y0 + y), closed_row, dst.row(roi.y0 + y),
                                         static_cast<std::size_t>(w));
   }
 }

@@ -33,6 +33,14 @@ BinaryImage fill_holes(const BinaryImage& img);
 /// closed map with raw indices, so the inner loop has no bounds checks.
 /// `out` must not alias `img`.
 SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, BinaryImage& reached,
-                     std::vector<std::uint32_t>& stack, BinaryImage& out);
+                                  std::vector<std::uint32_t>& stack, BinaryImage& out);
+
+/// Same, flooding only inside `roi` from its border: bit-identical to
+/// fill_holes when `img` is zero on and outside the roi's one-pixel inner
+/// ring wherever the roi does not reach the frame edge (the background
+/// around the foreground then connects to the outer background, as in the
+/// full frame). `out` is full-size, zero outside `roi`.
+SLJ_HOT_PATH void fill_holes_into(const BinaryImage& img, Roi roi, BinaryImage& reached,
+                                  std::vector<std::uint32_t>& stack, BinaryImage& out);
 
 }  // namespace slj

@@ -1,83 +1,92 @@
-// Row-level SIMD primitives shared by the summed-area-table builders
-// (frame_workspace.cpp, filters.cpp) and the windowed-sum passes
-// (object_extractor.cpp). Everything here is templated on a slj::simd
-// backend tag and instantiated twice by the kernels: once with
-// simd::Active, once with simd::ScalarBackend — the scalar twin the
-// SIMD-vs-scalar property suites compare against.
-//
-// Bit-identity: SAT rows are staged as int32 prefix sums (exact — row sums
-// of 8-bit pixels stay far below 2^31) and widened to double with an exact
-// conversion, so `prev + double(stage)` performs the same single IEEE
-// addition as the serial recurrence `tab(x+1,y+1) = tab(x+1,y) + row_sum`.
+// Row-level SIMD kernels of the moving-window passes: the exact integer
+// window sums behind the extractor's Aave / Bave (object_extractor.cpp,
+// integral.cpp) and the binary median's sliding column counts
+// (filters.cpp), templated on a slj::simd backend tag.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "core/simd.hpp"
+#include "imaging/image.hpp"
+#include "imaging/integral.hpp"
 
 namespace slj::rowk {
 
-/// First row of a (possibly band-local) SAT: row[0] = 0,
-/// row[x+1] = double(stage[x]) — the previous row is all zeros.
-template <class B>
-inline void sat_row_first(const std::int32_t* stage, double* row, int w) {
-  using V = simd::VecF64<B>;
-  row[0] = 0.0;
-  int x = 0;
-  for (; x + V::kLanes <= w; x += V::kLanes) {
-    V::load_i32(stage + x).store(row + x + 1);
+/// Exact n×n moving-window sums of the three channels of `img`, one output
+/// row at a time: calls emit(y, rows, sr, sg, sb) for y = 0 .. h−1, where
+/// sr[x] is the integer sum of the red channel over the window centred at
+/// (x, y) clamped to the image, and `rows` the clamped window height. The
+/// clamped window width of column x is scratch.widths[x], so the window's
+/// area is widths[x] · rows.
+///
+/// How: sliding int32 column sums over the interleaved RGB bytes (one add
+/// and one subtract per row), split into three zero-padded planes, then an
+/// n-tap row sum. The zero pads make the clamped sum uniform: off-image
+/// columns add nothing. Every value is an integer below 255·n² — exact in
+/// int32 and in double — so double(sum) / area is bit-identical to
+/// IntegralImage::window_mean, whose four-corner table sum is the same
+/// integer.
+template <class B, class Emit>
+void window_sum_rows(const RgbImage& img, int n, WindowSumScratch& s, Emit&& emit) {
+  using VI = simd::VecI32<B>;
+  const int w = img.width();
+  const int h = img.height();
+  const int half = n / 2;
+  const std::size_t cw = 3u * static_cast<std::size_t>(w);
+  const std::size_t pw = static_cast<std::size_t>(w) + 2u * static_cast<std::size_t>(half);
+  s.col.assign(cw, 0);
+  s.padded.assign(3u * pw, 0);  // the pads stay zero; the interiors are rewritten per row
+  s.sums.resize(cw);
+  s.widths.resize(static_cast<std::size_t>(w));
+  for (int x = 0; x < w; ++x) {
+    s.widths[static_cast<std::size_t>(x)] =
+        static_cast<double>(std::min(x + half, w - 1) - std::max(x - half, 0) + 1);
   }
-  for (; x < w; ++x) row[x + 1] = static_cast<double>(stage[x]);
-}
+  const std::uint8_t* px = reinterpret_cast<const std::uint8_t*>(img.data().data());
+  const auto row_bytes = [&](int y) { return px + static_cast<std::size_t>(y) * cw; };
+  std::int32_t* col = s.col.data();
+  // col[i] += add[i] − sub[i]; a null row contributes nothing.
+  const auto slide = [&](const std::uint8_t* add, const std::uint8_t* sub) {
+    std::size_t i = 0;
+    for (; i + VI::kLanes <= cw; i += VI::kLanes) {
+      VI c = VI::load(col + i);
+      if (add != nullptr) c = c + VI::load_u8(add + i);
+      if (sub != nullptr) c = c - VI::load_u8(sub + i);
+      c.store(col + i);
+    }
+    for (; i < cw; ++i) col[i] += (add != nullptr ? add[i] : 0) - (sub != nullptr ? sub[i] : 0);
+  };
+  for (int y = 0; y < std::min(half, h); ++y) slide(row_bytes(y), nullptr);
 
-/// Interior SAT row: row[0] = 0, row[x+1] = prev[x+1] + double(stage[x]).
-template <class B>
-inline void sat_row_next(const std::int32_t* stage, const double* prev, double* row, int w) {
-  using V = simd::VecF64<B>;
-  row[0] = 0.0;
-  int x = 0;
-  for (; x + V::kLanes <= w; x += V::kLanes) {
-    (V::load(prev + x + 1) + V::load_i32(stage + x)).store(row + x + 1);
+  std::int32_t* planes[3] = {s.padded.data() + half, s.padded.data() + pw + half,
+                             s.padded.data() + 2 * pw + half};
+  std::int32_t* sums[3] = {s.sums.data(), s.sums.data() + w, s.sums.data() + 2 * w};
+  for (int y = 0; y < h; ++y) {
+    // Column sums now cover rows [y − half, y + half] ∩ [0, h).
+    const int add = y + half;
+    const int sub = y - half - 1;
+    slide(add < h ? row_bytes(add) : nullptr, sub >= 0 ? row_bytes(sub) : nullptr);
+    const int rows = std::min(y + half, h - 1) - std::max(y - half, 0) + 1;
+    simd::deinterleave3_i32<B>(col, planes[0], planes[1], planes[2], static_cast<std::size_t>(w));
+    for (int c = 0; c < 3; ++c) {
+      const std::int32_t* p = planes[c] - half;  // p[x + t] covers columns x − half + t
+      std::int32_t* out = sums[c];
+      int x = 0;
+      for (; x + VI::kLanes <= w; x += VI::kLanes) {
+        VI acc = VI::load(p + x);
+        for (int t = 1; t < n; ++t) acc = acc + VI::load(p + x + t);
+        acc.store(out + x);
+      }
+      for (; x < w; ++x) {
+        std::int32_t acc = 0;
+        for (int t = 0; t < n; ++t) acc += p[x + t];
+        out[x] = acc;
+      }
+    }
+    emit(y, rows, sums[0], sums[1], sums[2]);
   }
-  for (; x < w; ++x) row[x + 1] = prev[x + 1] + static_cast<double>(stage[x]);
-}
-
-/// out[i] = a[i] + b[i]; used for the band-carry accumulation (phase 2).
-template <class B>
-inline void add_rows(const double* a, const double* b, double* out, std::size_t n) {
-  using V = simd::VecF64<B>;
-  std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    (V::load(a + i) + V::load(b + i)).store(out + i);
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-/// row[i] = row[i] + carry[i]; the banded SAT's carry application (phase 3).
-/// Written as `local + carry` so the operand order matches phase 2.
-template <class B>
-inline void add_in_place(const double* carry, double* row, std::size_t n) {
-  using V = simd::VecF64<B>;
-  std::size_t i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    (V::load(row + i) + V::load(carry + i)).store(row + i);
-  }
-  for (; i < n; ++i) row[i] = row[i] + carry[i];
-}
-
-/// Window sums for kLanes consecutive pixels: the four clamp-free table
-/// loads of interior_window_sum, in the same operation order
-/// ((a − b) − c) + d, so every lane is bit-identical to the scalar sum.
-/// `r0`/`r1` are table-row offsets (rows y−half and y+half+1 times the
-/// stride); `c0`/`c1` are table columns x−half and x+half+1 of the first
-/// lane.
-template <class B>
-inline simd::VecF64<B> window_sum_vec(const double* tab, std::size_t r0, std::size_t r1,
-                                      std::size_t c0, std::size_t c1) {
-  using V = simd::VecF64<B>;
-  return V::load(tab + r1 + c1) - V::load(tab + r1 + c0) - V::load(tab + r0 + c1) +
-         V::load(tab + r0 + c0);
 }
 
 /// col[x] += row[x] for a 0/1 byte row — seeds the sliding column counts of

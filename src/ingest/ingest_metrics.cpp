@@ -32,14 +32,19 @@ double bucket_upper_us(std::size_t b) {
 
 void LatencyHistogram::record(std::chrono::nanoseconds latency) {
   if (latency.count() < 0) latency = std::chrono::nanoseconds::zero();
-  buckets_[bucket_of(latency)].fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
-  count_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
   const std::uint64_t ns = static_cast<std::uint64_t>(latency.count());
   // slj-atomic: counter — monotonic-max CAS; a raced retry republishes the winner
   std::uint64_t seen = max_ns_.load(std::memory_order_relaxed);
   // slj-atomic: counter
   while (ns > seen && !max_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
   }
+  // slj-atomic: counter — monotonic-min CAS, the mirror of the max above
+  seen = min_ns_.load(std::memory_order_relaxed);
+  // slj-atomic: counter
+  while (ns < seen && !min_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
+  }
+  buckets_[bucket_of(latency)].fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
+  count_.fetch_add(1, std::memory_order_relaxed);  // slj-atomic: counter
 }
 
 double LatencyHistogram::quantile_ms(double q) const {
@@ -52,6 +57,7 @@ double LatencyHistogram::quantile_ms(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double rank = q * static_cast<double>(total - 1) + 1.0;  // 1-based
+  double estimate_ms = bucket_upper_us(kBuckets - 1) / 1000.0;
   double cumulative = 0.0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     if (counts[i] == 0) continue;
@@ -61,11 +67,19 @@ double LatencyHistogram::quantile_ms(double q) const {
       const double lo = i == 0 ? 0.0 : bucket_upper_us(i - 1);
       const double hi = bucket_upper_us(i);
       const double frac = (rank - cumulative) / static_cast<double>(counts[i]);
-      return (lo + frac * (hi - lo)) / 1000.0;
+      estimate_ms = (lo + frac * (hi - lo)) / 1000.0;
+      break;
     }
     cumulative = next;
   }
-  return bucket_upper_us(kBuckets - 1) / 1000.0;
+  // record() publishes min/max before the bucket count, but a snapshot racing
+  // a first record can still see counts without them: clamp only to a sane
+  // pair.
+  const std::uint64_t min_ns = min_ns_.load(std::memory_order_relaxed);  // slj-atomic: snapshot
+  const std::uint64_t max_ns = max_ns_.load(std::memory_order_relaxed);  // slj-atomic: snapshot
+  if (min_ns > max_ns) return estimate_ms;
+  return std::clamp(estimate_ms, static_cast<double>(min_ns) / 1e6,
+                    static_cast<double>(max_ns) / 1e6);
 }
 
 // ---- IngestMetrics ---------------------------------------------------------

@@ -29,7 +29,9 @@ class LatencyHistogram {
   void record(std::chrono::nanoseconds latency);
 
   /// q in [0, 1]; returns the interpolated quantile in milliseconds
-  /// (0 when no samples were recorded).
+  /// (0 when no samples were recorded), clamped to the observed
+  /// [min, max] — interpolation inside a power-of-two bucket can otherwise
+  /// report a quantile no sample reached.
   double quantile_ms(double q) const;
 
   std::uint64_t count() const {
@@ -45,6 +47,7 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> max_ns_{0};
+  std::atomic<std::uint64_t> min_ns_{UINT64_MAX};
 };
 
 /// Per-session rows of a metrics snapshot.

@@ -11,20 +11,28 @@ BackgroundModel::BackgroundModel(int window) : window_(window) {
 }
 
 void BackgroundModel::accumulate(const RgbImage& frame) {
+  // Average the accumulated frames, rounded to 8 bits, then apply the
+  // paper's n×n moving window with the exact integer kernel — identical to
+  // feeding the rounded average through window_mean_rgb. A single frame is
+  // its own average, so the channel sums only exist from the second frame.
   if (frame_count_ == 0) {
-    sum_r_ = Image<double>(frame.width(), frame.height());
-    sum_g_ = Image<double>(frame.width(), frame.height());
-    sum_b_ = Image<double>(frame.width(), frame.height());
-  } else if (frame.width() != sum_r_.width() || frame.height() != sum_r_.height()) {
-    throw std::invalid_argument("background frames must share one size");
-  }
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    sum_r_.data()[i] += frame.data()[i].r;
-    sum_g_.data()[i] += frame.data()[i].g;
-    sum_b_.data()[i] += frame.data()[i].b;
+    average_ = frame;
+    sums_.clear();
+  } else {
+    if (frame.width() != average_.width() || frame.height() != average_.height()) {
+      throw std::invalid_argument("background frames must share one size");
+    }
+    std::uint8_t* avg = reinterpret_cast<std::uint8_t*>(average_.data().data());
+    if (sums_.empty()) sums_.assign(avg, avg + 3u * average_.size());  // the first frame
+    const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(frame.data().data());
+    const double inv = 1.0 / (frame_count_ + 1);
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      sums_[i] += bytes[i];
+      avg[i] = static_cast<std::uint8_t>(static_cast<double>(sums_[i]) * inv + 0.5);
+    }
   }
   ++frame_count_;
-  rebuild_mean();
+  window_mean_rgb_into(average_, window_, scratch_, mean_);
 }
 
 void BackgroundModel::set_background(const RgbImage& frame) {
@@ -33,20 +41,6 @@ void BackgroundModel::set_background(const RgbImage& frame) {
 }
 
 void BackgroundModel::reset() { frame_count_ = 0; }
-
-void BackgroundModel::rebuild_mean() {
-  // Average the accumulated frames, then apply the paper's n×n moving
-  // window. Quantisation to uint8 first keeps this identical to feeding a
-  // single averaged frame through window_mean_rgb.
-  RgbImage avg(sum_r_.width(), sum_r_.height());
-  for (std::size_t i = 0; i < avg.size(); ++i) {
-    const double inv = 1.0 / frame_count_;
-    avg.data()[i] = {static_cast<std::uint8_t>(sum_r_.data()[i] * inv + 0.5),
-                     static_cast<std::uint8_t>(sum_g_.data()[i] * inv + 0.5),
-                     static_cast<std::uint8_t>(sum_b_.data()[i] * inv + 0.5)};
-  }
-  mean_ = window_mean_rgb(avg, window_);
-}
 
 const RgbMeans& BackgroundModel::averaged() const {
   if (frame_count_ == 0) throw std::logic_error("background model has no frames");

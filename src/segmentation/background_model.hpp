@@ -4,6 +4,9 @@
 // ("the light sources can be controlled and are more stable").
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "imaging/image.hpp"
 #include "imaging/integral.hpp"
 
@@ -25,8 +28,8 @@ class BackgroundModel {
 
   bool has_background() const { return frame_count_ > 0; }
   int window() const { return window_; }
-  int width() const { return sum_r_.width(); }
-  int height() const { return sum_r_.height(); }
+  int width() const { return average_.width(); }
+  int height() const { return average_.height(); }
 
   /// The paper's Bave: per-channel moving-window mean of the background.
   /// Rebuilt eagerly by accumulate(), so concurrent const reads (parallel
@@ -36,11 +39,13 @@ class BackgroundModel {
  private:
   int window_;
   int frame_count_ = 0;
-  // Running per-pixel mean of raw background frames (before windowing).
-  Image<double> sum_r_, sum_g_, sum_b_;
+  /// Per-pixel channel sums of the accumulated frames, interleaved like the
+  /// frames' bytes; empty while only one frame is in.
+  std::vector<std::uint32_t> sums_;
+  /// The accumulated frames' mean, rounded to 8 bits before windowing.
+  RgbImage average_;
   RgbMeans mean_;
-
-  void rebuild_mean();
+  WindowSumScratch scratch_;
 };
 
 }  // namespace slj::seg

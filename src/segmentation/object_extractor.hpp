@@ -54,18 +54,18 @@ class ObjectExtractor {
 
   /// Allocation-free fast path: same algorithm, but every intermediate lives
   /// in the workspace (difference in ws.difference, raw mask in ws.raw_mask,
-  /// smoothed in ws.smoothed; the figure-grade `normalized` image is skipped
-  /// — the mask thresholds the difference directly, provably the same bits)
-  /// and the final silhouette is written to `silhouette_out`. At steady
-  /// state — same-sized frames through the same workspace — no full-frame
-  /// buffer is heap-allocated. Output is bit-identical to extract(). Returns
-  /// max(D) (step v), which extract() reports as max_difference.
-  ///
-  /// When `exec` is a multi-band BandExecutor the windowed-mean, difference,
-  /// threshold, and median passes run row-banded across its workers — still
-  /// bit-identical to the serial path at any band count.
+  /// smoothed in ws.smoothed, largest component in ws.largest; the
+  /// figure-grade `normalized` image is skipped — the mask thresholds the
+  /// difference directly, provably the same bits) and the final silhouette
+  /// is written to `silhouette_out`. The window means come from the exact
+  /// integer moving-window kernel; the stages after the threshold run only
+  /// inside ws.roi, the raw mask's padded bounding box, and every output
+  /// image stays full-frame with zeros outside it. At steady state — same-
+  /// sized frames through the same workspace — no full-frame buffer is
+  /// heap-allocated. Output is bit-identical to extract(). Returns max(D)
+  /// (step v), which extract() reports as max_difference.
   SLJ_HOT_PATH double extract_into(const RgbImage& frame, FrameWorkspace& ws,
-                      BinaryImage& silhouette_out, BandExecutor* exec = nullptr) const;
+                                   BinaryImage& silhouette_out) const;
 
   /// Shortcut returning only the final silhouette.
   BinaryImage silhouette(const RgbImage& frame) const;

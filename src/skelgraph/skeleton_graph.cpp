@@ -182,35 +182,48 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
                                Image<std::uint8_t>& is_junction, Labeling& scratch_labeling,
                                std::vector<PointI>& scratch_stack, BinaryImage& visited) {
   SkeletonGraph graph;
-  const int w = skeleton.width();
-  const int h = skeleton.height();
+  // Every pass below runs inside the skeleton's bounding box grown by one
+  // pixel; the box-sized scratch maps are viewed in frame coordinates, so
+  // node positions, paths and cluster statistics come out as in a
+  // full-frame pass.
+  const Roi box = nonzero_bounds(skeleton).padded(1, skeleton.width(), skeleton.height());
+  const std::size_t bw = static_cast<std::size_t>(box.width());
+  const auto box_view = [&](Image<std::uint8_t>& img) {
+    img.assign(box.width(), box.height(), 0);
+    return ImageView<std::uint8_t>{img.data().data(), bw, box};
+  };
 
   // Classify pixels by degree in the pixel graph.
-  is_junction.assign(w, h, 0);
+  const ImageView<std::uint8_t> junction = box_view(is_junction);
   std::size_t skeleton_pixels = 0;
   std::size_t junction_pixels = 0;
   std::size_t pixel_edges2 = 0;  // 2x the number of pixel-graph edges
-  const std::uint8_t* skel = skeleton.data().data();
-  const std::size_t wn = static_cast<std::size_t>(w);
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      ++skeleton_pixels;
-      const int d = pixel_degree(skeleton, x, y);
-      pixel_edges2 += static_cast<std::size_t>(d);
-      if (d >= 3) {
-        is_junction.at(x, y) = 1;
-        ++junction_pixels;
+  const ImageView<const std::uint8_t> skel = skeleton.view(box);
+  // Calls fn(x, y) for every skeleton pixel, in raster order.
+  const auto for_each_pixel = [&](auto&& fn) {
+    for (int y = box.y0; y < box.y1; ++y) {
+      const std::uint8_t* row = skel.row(y);
+      for (std::size_t xi = 0; xi < bw; ++xi) {
+        xi += simd::find_nonzero<simd::Active>(row + xi, bw - xi);
+        if (xi >= bw) break;
+        fn(box.x0 + static_cast<int>(xi), y);
       }
     }
-  }
+  };
+  for_each_pixel([&](int x, int y) {
+    ++skeleton_pixels;
+    const int d = pixel_degree(skeleton, x, y);
+    pixel_edges2 += static_cast<std::size_t>(d);
+    if (d >= 3) {
+      junction.at(x, y) = 1;
+      ++junction_pixels;
+    }
+  });
 
   // Collapse 8-connected clusters of junction pixels into single junction
   // nodes — the paper's adjacent-junction-vertex removal.
-  label_components_into(is_junction, /*eight_connected=*/true, scratch_labeling, scratch_stack);
+  label_components_into(ImageView<const std::uint8_t>{junction.origin, bw, box},
+                        /*eight_connected=*/true, scratch_labeling, scratch_stack);
   const Labeling& junction_clusters = scratch_labeling;
   const std::size_t junction_cluster_count = junction_clusters.components.size();
   // pixel -> node id for "special" pixels (cluster members, ends, isolated).
@@ -222,7 +235,7 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
     double best = 1e30;
     for (int y = c.min.y; y <= c.max.y; ++y) {
       for (int x = c.min.x; x <= c.max.x; ++x) {
-        if (junction_clusters.labels.at(x, y) != c.label) continue;
+        if (junction_clusters.label_at(x, y) != c.label) continue;
         node.cluster.push_back({x, y});
         const double d = distance(to_f(PointI{x, y}), c.centroid);
         if (d < best) {
@@ -236,23 +249,17 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
   }
 
   // End and isolated pixels become their own nodes.
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      if (is_junction.at(x, y)) continue;
-      const int d = pixel_degree(skeleton, x, y);
-      if (d == 1 || d == 0) {
-        Node node;
-        node.pos = {x, y};
-        node.type = d == 1 ? NodeType::kEnd : NodeType::kIsolated;
-        node.cluster = {node.pos};
-        special[node.pos] = graph.add_node(std::move(node));
-      }
+  for_each_pixel([&](int x, int y) {
+    if (junction.at(x, y)) return;
+    const int d = pixel_degree(skeleton, x, y);
+    if (d == 1 || d == 0) {
+      Node node;
+      node.pos = {x, y};
+      node.type = d == 1 ? NodeType::kEnd : NodeType::kIsolated;
+      node.cluster = {node.pos};
+      special[node.pos] = graph.add_node(std::move(node));
     }
-  }
+  });
 
   // Trace segments: from every special pixel, walk into each non-special
   // neighbour through degree-2 pixels until another special pixel is hit.
@@ -317,54 +324,48 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
 
   // Pure cycles (all pixels degree 2, no junction/end): seat a synthetic
   // node on the topmost-leftmost unvisited pixel and trace the self-loop.
-  visited.assign(w, h, 0);
+  const ImageView<std::uint8_t> seen = box_view(visited);
   for (const Edge& e : graph.edges()) {
-    for (const PointI& p : e.path) visited.at(p) = 1;
+    for (const PointI& p : e.path) seen.at(p.x, p.y) = 1;
   }
   for (const Node& n : graph.nodes()) {
-    for (const PointI& p : n.cluster) visited.at(p) = 1;
+    for (const PointI& p : n.cluster) seen.at(p.x, p.y) = 1;
   }
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* row = skel + static_cast<std::size_t>(y) * wn;
-    for (std::size_t xi = 0; xi < wn; ++xi) {
-      xi += simd::find_nonzero<simd::Active>(row + xi, wn - xi);
-      if (xi >= wn) break;
-      const int x = static_cast<int>(xi);
-      if (visited.at(x, y)) continue;
-      Node seat;
-      seat.pos = {x, y};
-      seat.type = NodeType::kLoopSeat;
-      seat.cluster = {seat.pos};
-      const int seat_id = graph.add_node(std::move(seat));
-      // Walk the ring.
-      std::vector<PointI> path{{x, y}};
-      visited.at(x, y) = 1;
-      PointI prev{x, y};
-      std::vector<PointI> nbrs = neighbours_of({x, y});
-      if (nbrs.empty()) continue;  // degree-0 handled as isolated above
-      PointI cur = nbrs.front();
-      while (cur != PointI{x, y}) {
-        path.push_back(cur);
-        visited.at(cur) = 1;
-        PointI next = prev;
-        for (const PointI& n : neighbours_of(cur)) {
-          if (n != prev) {
-            next = n;
-            break;
-          }
+  for_each_pixel([&](int x, int y) {
+    if (seen.at(x, y)) return;
+    Node seat;
+    seat.pos = {x, y};
+    seat.type = NodeType::kLoopSeat;
+    seat.cluster = {seat.pos};
+    const int seat_id = graph.add_node(std::move(seat));
+    // Walk the ring.
+    std::vector<PointI> path{{x, y}};
+    seen.at(x, y) = 1;
+    PointI prev{x, y};
+    std::vector<PointI> nbrs = neighbours_of({x, y});
+    if (nbrs.empty()) return;  // degree-0 handled as isolated above
+    PointI cur = nbrs.front();
+    while (cur != PointI{x, y}) {
+      path.push_back(cur);
+      seen.at(cur.x, cur.y) = 1;
+      PointI next = prev;
+      for (const PointI& n : neighbours_of(cur)) {
+        if (n != prev) {
+          next = n;
+          break;
         }
-        prev = cur;
-        cur = next;
-        if (cur == prev) break;  // defensive
       }
-      path.push_back({x, y});
-      Edge e;
-      e.a = seat_id;
-      e.b = seat_id;
-      e.path = std::move(path);
-      graph.add_edge(std::move(e));
+      prev = cur;
+      cur = next;
+      if (cur == prev) break;  // defensive
     }
-  }
+    path.push_back({x, y});
+    Edge e;
+    e.a = seat_id;
+    e.b = seat_id;
+    e.path = std::move(path);
+    graph.add_edge(std::move(e));
+  });
 
   if (stats != nullptr) {
     stats->skeleton_pixels = skeleton_pixels;
@@ -374,7 +375,7 @@ SkeletonGraph build_graph_impl(const BinaryImage& skeleton, BuildStats* stats,
     const std::size_t pixel_edges = pixel_edges2 / 2;
     // Same count as component_count(skeleton), through the caller's scratch
     // (junction_clusters is no longer read past node construction).
-    label_components_into(skeleton, /*eight_connected=*/true, scratch_labeling, scratch_stack);
+    label_components_into(skel, /*eight_connected=*/true, scratch_labeling, scratch_stack);
     const std::size_t components = scratch_labeling.components.size();
     stats->pixel_graph_cycles =
         pixel_edges + components >= skeleton_pixels ? pixel_edges + components - skeleton_pixels : 0;

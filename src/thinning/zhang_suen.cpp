@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/simd.hpp"
+#include "imaging/connected.hpp"
 
 namespace slj::thin {
 namespace {
@@ -57,18 +58,19 @@ std::size_t sub_iteration(BinaryImage& img, bool first) {
   return to_delete.size();
 }
 
-// Zhang–Suen deletability of (x, y) against the current image. Interior
-// pixels (the overwhelming majority) load their ring with three row pointers
-// and no bounds checks; only the one-pixel border falls back to at_or.
-// Same conditions, in the same order, as sub_iteration above.
-bool deletable(const BinaryImage& img, int x, int y, bool first) {
+// Zhang–Suen deletability of view pixel (x, y) — view-local coordinates,
+// `data` at the view's origin, rows `stride` apart, the view w × h.
+// Interior pixels (the overwhelming majority) load their ring with three
+// row pointers and no bounds checks; only the view's one-pixel border
+// checks, reading outside the view as background. Same conditions, in the
+// same order, as sub_iteration above.
+bool deletable(const std::uint8_t* data, std::size_t stride, int w, int h, int x, int y,
+               bool first) {
   std::array<std::uint8_t, 8> p;
-  const int w = img.width();
-  const int h = img.height();
   if (x > 0 && y > 0 && x < w - 1 && y < h - 1) {
-    const std::uint8_t* up = img.data().data() + static_cast<std::size_t>(y - 1) * w + x;
-    const std::uint8_t* mid = up + w;
-    const std::uint8_t* down = mid + w;
+    const std::uint8_t* up = data + static_cast<std::size_t>(y - 1) * stride + x;
+    const std::uint8_t* mid = up + stride;
+    const std::uint8_t* down = mid + stride;
     p = {static_cast<std::uint8_t>(up[0] ? 1 : 0),    // P2
          static_cast<std::uint8_t>(up[1] ? 1 : 0),    // P3
          static_cast<std::uint8_t>(mid[1] ? 1 : 0),   // P4
@@ -78,7 +80,12 @@ bool deletable(const BinaryImage& img, int x, int y, bool first) {
          static_cast<std::uint8_t>(mid[-1] ? 1 : 0),  // P8
          static_cast<std::uint8_t>(up[-1] ? 1 : 0)};  // P9
   } else {
-    p = ring_values(img, x, y);
+    for (std::size_t i = 0; i < kRing.size(); ++i) {
+      const int nx = x + kRing[i].x;
+      const int ny = y + kRing[i].y;
+      const bool inside = nx >= 0 && ny >= 0 && nx < w && ny < h;
+      p[i] = inside && data[static_cast<std::size_t>(ny) * stride + nx] ? 1 : 0;
+    }
   }
   int b = 0;
   for (const std::uint8_t v : p) b += v;
@@ -96,10 +103,18 @@ bool deletable(const BinaryImage& img, int x, int y, bool first) {
 }  // namespace
 
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
-                          ThinningStats* stats) {
+                                       ThinningStats* stats) {
   out = img;  // vector copy-assignment: reuses out's buffer at steady state
-  const int w = out.width();
-  const int h = out.height();
+  // Thin inside the foreground's bounding box grown by one pixel: outside
+  // it everything is background and stays so, and the ring keeps every
+  // foreground pixel's 3×3 neighbourhood inside the box — or off the frame,
+  // which reads as background either way — so each deletability test sees
+  // exactly the pixels the full-frame pass would.
+  const ImageView<std::uint8_t> box =
+      out.view(nonzero_bounds(out).padded(1, out.width(), out.height()));
+  const int w = box.roi.width();
+  const int h = box.roi.height();
+  const std::size_t stride = box.stride;
   auto& cand_first = ws.thin_candidates_first;
   auto& cand_second = ws.thin_candidates_second;
   auto& eval = ws.thin_eval;
@@ -108,14 +123,21 @@ SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& w
   cand_first.clear();
   cand_second.clear();
   eval.clear();
-  marks.assign(out.size(), 0);
-  std::uint8_t* data = out.data().data();
+  marks.assign(static_cast<std::size_t>(std::max(w, 0)) * static_cast<std::size_t>(std::max(h, 0)),
+               0);
+  std::uint8_t* data = box.origin;
+  // Candidates, deletions and marks index the box densely (y·w + x);
+  // pixels live `stride` apart in `data`.
+  const auto pixel = [&](std::uint32_t idx) -> std::uint8_t& {
+    return data[(idx / static_cast<std::uint32_t>(w)) * stride +
+                idx % static_cast<std::uint32_t>(w)];
+  };
 
   // Applies the collected deletions simultaneously, then queues every pixel
   // of each deleted pixel's 3×3 neighbourhood for both sub-iteration types:
   // those are exactly the pixels whose answer can have changed.
   const auto apply_deletions = [&] {
-    for (const std::uint32_t idx : deletions) data[idx] = 0;
+    for (const std::uint32_t idx : deletions) pixel(idx) = 0;
     for (const std::uint32_t idx : deletions) {
       const int x = static_cast<int>(idx % static_cast<std::uint32_t>(w));
       const int y = static_cast<int>(idx / static_cast<std::uint32_t>(w));
@@ -137,21 +159,20 @@ SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& w
     }
   };
 
-  // Full-image sub-iteration (first pass only). Background runs — most of a
-  // silhouette frame — are skipped a vector block at a time; skipped pixels
-  // are all zero, which can never be deletable.
+  // Full-box sub-iteration (first pass only). Background runs — most of a
+  // silhouette — are skipped a vector block at a time; skipped pixels are
+  // all zero, which can never be deletable.
   const auto full_sub = [&](bool first) {
     deletions.clear();
+    const std::size_t wn = static_cast<std::size_t>(w);
     for (int y = 0; y < h; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * w;
+      const std::uint8_t* row = data + static_cast<std::size_t>(y) * stride;
       std::size_t x = 0;
-      const std::size_t wn = static_cast<std::size_t>(w);
       while (x < wn) {
-        x += simd::find_nonzero<simd::Active>(data + row + x, wn - x);
+        x += simd::find_nonzero<simd::Active>(row + x, wn - x);
         if (x >= wn) break;
-        const std::size_t idx = row + x;
-        if (deletable(out, static_cast<int>(x), y, first)) {
-          deletions.push_back(static_cast<std::uint32_t>(idx));
+        if (deletable(data, stride, w, h, static_cast<int>(x), y, first)) {
+          deletions.push_back(static_cast<std::uint32_t>(static_cast<std::size_t>(y) * wn + x));
         }
         ++x;
       }
@@ -169,10 +190,10 @@ SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& w
     deletions.clear();
     for (const std::uint32_t idx : eval) {
       marks[idx] &= static_cast<std::uint8_t>(~bit);
-      if (!data[idx]) continue;
+      if (!pixel(idx)) continue;
       const int x = static_cast<int>(idx % static_cast<std::uint32_t>(w));
       const int y = static_cast<int>(idx / static_cast<std::uint32_t>(w));
-      if (deletable(out, x, y, first)) deletions.push_back(idx);
+      if (deletable(data, stride, w, h, x, y, first)) deletions.push_back(idx);
     }
     apply_deletions();
     return deletions.size();

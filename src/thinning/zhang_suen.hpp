@@ -38,6 +38,9 @@ BinaryImage zhang_suen_thin(const BinaryImage& img, ThinningStats* stats = nullp
 ///    evaluated for that sub-iteration type. Any other pixel provably keeps
 ///    its previous (non-deletable) answer, so later passes cost O(frontier)
 ///    instead of O(W·H).
+/// Both run only inside the foreground's bounding box grown by one pixel:
+/// everything outside it is background, and the ring keeps every 3×3
+/// neighbourhood the passes read inside the box or off the frame.
 /// `out` must not alias `img`. Stats match zhang_suen_thin exactly.
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
                           ThinningStats* stats = nullptr);

@@ -5,19 +5,14 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_tmpdir.hpp"
+
 namespace slj::synth {
 namespace {
 
 class ClipIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "slj_clip_io_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+  std::string path(const std::string& name) const { return tmp_.file(name); }
 
   static ClipSpec small_spec(std::uint32_t seed = 5, int frames = 8) {
     ClipSpec spec;
@@ -31,7 +26,7 @@ class ClipIoTest : public ::testing::Test {
     return spec;
   }
 
-  std::filesystem::path dir_;
+  slj::testutil::TestTmpDir tmp_;
 };
 
 TEST_F(ClipIoTest, ClipRoundTripPreservesFramesAndTruth) {

@@ -1,9 +1,12 @@
-// Golden parity suite for the FrameWorkspace fast path (PR 4 tentpole):
-// the workspace pipeline — integral-table window means, into-style
-// segmentation, frontier Zhang–Suen — must produce bit-identical results to
-// the straightforward (seed) implementations it shadows, at every worker
-// count and via the StreamEngine; and the steady-state segmentation +
-// thinning hot path must perform zero heap allocations.
+// Golden parity suite for the FrameWorkspace fast path: the workspace
+// pipeline — integer-kernel window means, into-style segmentation run
+// inside the foreground's box, frontier Zhang–Suen — must produce
+// bit-identical results to the straightforward (seed) implementations it
+// shadows, at every worker count, via the StreamEngine, and on scenes that
+// stress the box (foreground on every frame edge, empty frames, a mask
+// covering the whole frame, a scene under the noise floor); and the
+// steady-state segmentation + thinning hot path must perform zero heap
+// allocations.
 #include "imaging/frame_workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +15,12 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/clip_engine.hpp"
 #include "core/stream_engine.hpp"
+#include "imaging/connected.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/morphology.hpp"
@@ -119,10 +124,11 @@ TEST(FrameWorkspaceParity, WindowMeansMatchReference) {
   FrameWorkspace ws;
   for (const int n : {1, 3, 5}) {
     const RgbMeans want = window_mean_rgb(clip.frames[5], n);
-    window_mean_rgb_into(clip.frames[5], n, ws);
-    EXPECT_EQ(ws.aave.r, want.r) << "window " << n;
-    EXPECT_EQ(ws.aave.g, want.g) << "window " << n;
-    EXPECT_EQ(ws.aave.b, want.b) << "window " << n;
+    RgbMeans got;
+    window_mean_rgb_into(clip.frames[5], n, ws.window_sums, got);
+    EXPECT_EQ(got.r, want.r) << "window " << n;
+    EXPECT_EQ(got.g, want.g) << "window " << n;
+    EXPECT_EQ(got.b, want.b) << "window " << n;
   }
 }
 
@@ -199,6 +205,112 @@ TEST(FrameWorkspaceParity, WorkspaceSurvivesFrameSizeChanges) {
     const BinaryImage img = random_blobs(static_cast<std::uint32_t>(w * h), w, h, 5);
     thin::zhang_suen_thin_into(img, ws, out);
     EXPECT_EQ(out, thin::zhang_suen_thin(img)) << w << "x" << h;
+  }
+}
+
+TEST(FrameWorkspaceParity, RoiKernelsMatchFullFrameKernels) {
+  FrameWorkspace ws;
+  for (const std::uint32_t seed : {2u, 9u, 31u}) {
+    for (const auto& [w, h] : {std::pair<int, int>{70, 50}, {33, 17}}) {
+      const BinaryImage mask = random_blobs(seed, w, h, 3);
+      const Roi bounds = nonzero_bounds(mask);
+      // k = 129 exceeds the 16-bit vector guard and takes the scalar loop.
+      for (const int k : {1, 3, 5, 129}) {
+        BinaryImage got;
+        median_filter_binary_into(mask, k, bounds.padded(k / 2, w, h), ws.mask_integral, got);
+        EXPECT_EQ(got, median_filter_binary(mask, k)) << "seed " << seed << " k " << k;
+      }
+      BinaryImage got;
+      largest_component_into(mask, bounds, true, ws.labeling, ws.pixel_stack, got);
+      EXPECT_EQ(got, largest_component(mask, true)) << "seed " << seed;
+      fill_holes_into(mask, bounds.padded(1, w, h), ws.reached, ws.flood_stack, got);
+      EXPECT_EQ(got, fill_holes(mask)) << "seed " << seed;
+    }
+  }
+}
+
+TEST(FrameWorkspaceParity, NonzeroBoundsIsTheTightBox) {
+  BinaryImage img(40, 30, 0);
+  EXPECT_TRUE(nonzero_bounds(img).empty());
+  img.at(7, 11) = 1;
+  EXPECT_EQ(nonzero_bounds(img), (Roi{7, 11, 8, 12}));
+  img.at(39, 29) = 1;
+  img.at(0, 20) = 1;
+  EXPECT_EQ(nonzero_bounds(img), (Roi{0, 11, 40, 30}));
+  EXPECT_EQ(nonzero_bounds(img).padded(3, 40, 30), (Roi{0, 8, 40, 30}));
+  EXPECT_TRUE(Roi{}.padded(5, 40, 30).empty());
+}
+
+/// Scenes that stress the extractor's box back end: foreground flush with
+/// each frame edge and corner, an empty frame, a mask covering the whole
+/// frame, and a change under the noise floor.
+std::vector<std::pair<const char*, RgbImage>> box_scenes(const RgbImage& background) {
+  const int w = background.width();
+  const int h = background.height();
+  const auto with_rect = [&](int x0, int y0, int x1, int y1) {
+    RgbImage frame = background;
+    for (int y = y0; y < y1; ++y) {
+      for (int x = x0; x < x1; ++x) frame.at(x, y) = {250, 240, 230};
+    }
+    return frame;
+  };
+  std::vector<std::pair<const char*, RgbImage>> scenes = {
+      {"top edge", with_rect(12, 0, 30, 9)},
+      {"bottom edge", with_rect(10, h - 8, 26, h)},
+      {"left edge", with_rect(0, 8, 7, 24)},
+      {"right edge", with_rect(w - 6, 10, w, 30)},
+      {"top-left corner", with_rect(0, 0, 9, 9)},
+      {"bottom-right corner", with_rect(w - 11, h - 7, w, h)},
+      {"empty frame", background},
+      {"whole frame", RgbImage(w, h, {255, 255, 255})},
+  };
+  RgbImage faint = background;  // a +1 patch stays far below min_max_difference
+  for (int y = 10; y < 16; ++y) {
+    for (int x = 10; x < 16; ++x) {
+      Rgb& p = faint.at(x, y);
+      p = {static_cast<std::uint8_t>(p.r + 1), static_cast<std::uint8_t>(p.g + 1),
+           static_cast<std::uint8_t>(p.b + 1)};
+    }
+  }
+  scenes.emplace_back("under the noise floor", faint);
+  return scenes;
+}
+
+TEST(FrameWorkspaceParity, BoxBackEndMatchesFullFrameOnEdgeAndDegenerateScenes) {
+  const int w = 48;
+  const int h = 36;
+  RgbImage background(w, h);
+  std::mt19937 rng(5);
+  for (Rgb& p : background.data()) {
+    p = {static_cast<std::uint8_t>(20 + rng() % 40), static_cast<std::uint8_t>(30 + rng() % 40),
+         static_cast<std::uint8_t>(10 + rng() % 40)};
+  }
+  FramePipeline pipeline;
+  pipeline.set_background(background);
+  const seg::ObjectExtractor& extractor = pipeline.extractor();
+  FrameWorkspace ws;  // reused across scenes: stale boxes must not leak
+  BinaryImage silhouette;
+  for (const auto& [name, frame] : box_scenes(background)) {
+    const seg::ExtractionResult want = extractor.extract(frame);
+    const double max_d = extractor.extract_into(frame, ws, silhouette);
+    EXPECT_EQ(max_d, want.max_difference) << name;
+    EXPECT_EQ(ws.difference, want.difference) << name;
+    EXPECT_EQ(ws.raw_mask, want.raw_mask) << name;
+    EXPECT_EQ(ws.smoothed, want.smoothed) << name;
+    EXPECT_EQ(ws.largest, largest_component(want.smoothed, true)) << name;
+    EXPECT_EQ(silhouette, want.silhouette) << name;
+    if (std::string(name) == "whole frame") {
+      EXPECT_EQ(count_foreground(silhouette), silhouette.size()) << name;
+    }
+    if (std::string(name) == "empty frame" || std::string(name) == "under the noise floor") {
+      EXPECT_TRUE(ws.roi.empty()) << name;
+      EXPECT_EQ(count_foreground(silhouette), 0u) << name;
+    }
+    expect_identical_observation(pipeline.process(frame, ws), pipeline.process(frame), 0);
+    detect::BlobTracker tracker_seed;
+    detect::BlobTracker tracker_ws;
+    expect_identical_observation(pipeline.process(frame, tracker_ws, ws),
+                                 pipeline.process(frame, tracker_seed), 0);
   }
 }
 

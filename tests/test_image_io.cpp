@@ -7,20 +7,16 @@
 #include <fstream>
 #include <random>
 
+#include "test_tmpdir.hpp"
+
 namespace slj {
 namespace {
 
 class ImageIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "slj_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  std::string path(const std::string& name) const { return tmp_.file(name); }
 
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
-
-  std::filesystem::path dir_;
+  slj::testutil::TestTmpDir tmp_;
 };
 
 TEST_F(ImageIoTest, PgmRoundTrip) {

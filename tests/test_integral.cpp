@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <utility>
+#include <vector>
 
 namespace slj {
 namespace {
@@ -99,6 +103,58 @@ TEST(WindowMeanRgb, WindowOneIsIdentity) {
       EXPECT_DOUBLE_EQ(means.b.at(x, y), img.at(x, y).b);
     }
   }
+}
+
+// ---- the exact integer moving-window kernel --------------------------------
+
+/// Bit-for-bit comparison (EXPECT_EQ on doubles would let -0.0 == +0.0).
+::testing::AssertionResult same_bits(const Image<double>& got, const IntegralImage& table, int n) {
+  for (int y = 0; y < got.height(); ++y) {
+    for (int x = 0; x < got.width(); ++x) {
+      const double want = table.window_mean(x, y, n);
+      if (std::bit_cast<std::uint64_t>(got.at(x, y)) != std::bit_cast<std::uint64_t>(want)) {
+        return ::testing::AssertionFailure()
+               << "at (" << x << "," << y << "): " << got.at(x, y) << " vs " << want;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(WindowSumKernel, BitIdenticalToIntegralWindowMeanForEveryOddWindow) {
+  WindowSumScratch scratch;  // reused across every shape, as a workspace would
+  RgbMeans means;
+  for (int n = 1; n <= 15; n += 2) {
+    // 1×1, a row, a column, smaller than the window both ways, and one
+    // wide enough for every vector path and its tail.
+    const std::vector<std::pair<int, int>> shapes = {
+        {1, 1}, {1, 23}, {23, 1}, {std::max(1, n - 1), std::max(1, n / 2)}, {37, 29}};
+    for (const auto& [w, h] : shapes) {
+      for (int content = 0; content < 3; ++content) {
+        RgbImage img(w, h, content == 1 ? Rgb{255, 255, 255} : Rgb{0, 0, 0});
+        if (content == 2) {
+          std::mt19937 rng(static_cast<std::uint32_t>(n * 1000 + w * 31 + h));
+          for (Rgb& p : img.data()) {
+            p = {static_cast<std::uint8_t>(rng() % 256), static_cast<std::uint8_t>(rng() % 256),
+                 static_cast<std::uint8_t>(rng() % 256)};
+          }
+        }
+        window_mean_rgb_into(img, n, scratch, means);
+        const IntegralImage tr(w, h, [&](int x, int y) { return double(img.at(x, y).r); });
+        const IntegralImage tg(w, h, [&](int x, int y) { return double(img.at(x, y).g); });
+        const IntegralImage tb(w, h, [&](int x, int y) { return double(img.at(x, y).b); });
+        EXPECT_TRUE(same_bits(means.r, tr, n)) << "n " << n << " " << w << "x" << h << " c " << content;
+        EXPECT_TRUE(same_bits(means.g, tg, n)) << "n " << n << " " << w << "x" << h << " c " << content;
+        EXPECT_TRUE(same_bits(means.b, tb, n)) << "n " << n << " " << w << "x" << h << " c " << content;
+      }
+    }
+  }
+}
+
+TEST(WindowSumKernel, RejectsEvenWindow) {
+  WindowSumScratch scratch;
+  RgbMeans means;
+  EXPECT_THROW(window_mean_rgb_into(RgbImage(4, 4), 2, scratch, means), std::invalid_argument);
 }
 
 }  // namespace

@@ -28,15 +28,14 @@
 #include "obs/tracer.hpp"
 #include "replay/trace_replayer.hpp"
 #include "synth/dataset.hpp"
+#include "test_tmpdir.hpp"
 
 namespace slj::obs {
 namespace {
 
 using namespace std::chrono_literals;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
+using slj::testutil::temp_path;
 
 synth::Clip mini_clip(std::uint32_t seed = 2008, int frame_count = 10) {
   synth::ClipSpec spec;
@@ -224,6 +223,41 @@ TEST(LatencyHistogram, SaturatingLatenciesClampIntoLastBucket) {
   histogram.record(-5ms);
   EXPECT_EQ(histogram.count(), 3u);
   EXPECT_GE(histogram.quantile_ms(0.0), 0.0);
+}
+
+/// Every quantile of `histogram` lies inside the observed [min, max].
+void expect_quantiles_within(const ingest::LatencyHistogram& histogram, double min_ms,
+                             const char* what) {
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double v = histogram.quantile_ms(q);
+    EXPECT_LE(v, histogram.max_ms()) << what << " q " << q;
+    EXPECT_GE(v, min_ms) << what << " q " << q;
+  }
+}
+
+TEST(LatencyHistogram, QuantilesNeverExceedTheObservedMaxOrFallBelowTheMin) {
+  ingest::LatencyHistogram uniform;
+  for (int us = 100; us <= 1777; ++us) uniform.record(std::chrono::microseconds(us));
+  expect_quantiles_within(uniform, 0.1, "uniform");
+  EXPECT_DOUBLE_EQ(uniform.quantile_ms(1.0), 1.777);
+
+  ingest::LatencyHistogram bimodal;
+  for (int i = 0; i < 900; ++i) bimodal.record(std::chrono::microseconds(150 + i % 7));
+  for (int i = 0; i < 100; ++i) bimodal.record(std::chrono::microseconds(165000 + i));
+  expect_quantiles_within(bimodal, 0.150, "bimodal");
+  EXPECT_LE(bimodal.quantile_ms(0.99), 165.099);
+
+  ingest::LatencyHistogram one_bucket;  // 2.1 .. 2.9 ms share bucket [2048, 4096) µs
+  for (int i = 0; i < 50; ++i) one_bucket.record(std::chrono::microseconds(2100 + 16 * i));
+  expect_quantiles_within(one_bucket, 2.1, "single bucket");
+}
+
+TEST(LatencyHistogram, SingleSampleIsEveryQuantile) {
+  ingest::LatencyHistogram histogram;
+  histogram.record(3700us);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(histogram.quantile_ms(q), 3.7) << "q " << q;
+  }
 }
 
 // ---- SLO hysteresis --------------------------------------------------------
@@ -519,7 +553,8 @@ TEST(ServiceMonitor, ForcedBreachProducesReplayableIncidentOnce) {
   ServiceMonitorConfig config;
   config.slo.p99_budget_ms = 0.001;  // 16 ms manual-clock latency always breaches
   config.slo.breach_after = 1;
-  config.incident_dir = ::testing::TempDir();
+  const slj::testutil::TestTmpDir incidents;
+  config.incident_dir = incidents.path().string();
   config.max_incidents = 2;
   ServiceMonitor monitor(*rig.service, config);
   EXPECT_TRUE(Tracer::instance().enabled());
@@ -550,7 +585,8 @@ TEST(ServiceMonitor, ExplicitTriggerHonorsIncidentCap) {
   TracerGuard tracer_guard(false);
   Rig rig;
   ServiceMonitorConfig config;
-  config.incident_dir = ::testing::TempDir();
+  const slj::testutil::TestTmpDir incidents;
+  config.incident_dir = incidents.path().string();
   config.max_incidents = 1;
   ServiceMonitor monitor(*rig.service, config);
 

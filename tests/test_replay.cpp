@@ -26,15 +26,14 @@
 #include "ingest/ingest_service.hpp"
 #include "replay/trace_recorder.hpp"
 #include "synth/dataset.hpp"
+#include "test_tmpdir.hpp"
 
 namespace slj::replay {
 namespace {
 
 using namespace std::chrono_literals;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
+using slj::testutil::temp_path;
 
 /// Tiny noise-free studio clip: flat-colour frames keep traces small and the
 /// vision pass fast while still driving the full pipeline.

@@ -1,18 +1,13 @@
-// SIMD-vs-scalar property suite + row-banding determinism (PR 8 tentpole).
+// SIMD-vs-scalar property suite.
 //
 // The simd.hpp contract is bit-identity on the kernels' integer domain:
 // every primitive instantiated with the configured backend (simd::Active)
 // must produce exactly the bytes the always-compiled ScalarBackend twin
 // produces — across odd widths, vector-width tails, unaligned bases, and
 // degenerate all-0 / all-255 planes. On an SLJ_SIMD=OFF build Active *is*
-// ScalarBackend and the primitive checks pin trivially; the banding suite
-// below is backend-independent and bites on every build.
-//
-// The banding half pins the other determinism axis: a kernel handed a
-// BandExecutor must produce bit-identical output at any band count, whether
-// the bands run serially (SerialBandExecutor) or on a real WorkerPool
-// (PoolBandExecutor), including band counts that do not divide the height
-// and band counts exceeding the worker count.
+// ScalarBackend and the primitive checks pin trivially; the kernel-level
+// checks compare against the untouched scalar references and bite on every
+// build.
 #include "core/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -22,13 +17,10 @@
 #include <random>
 #include <vector>
 
-#include "core/clip_engine.hpp"
-#include "imaging/band_executor.hpp"
 #include "imaging/filters.hpp"
 #include "imaging/frame_workspace.hpp"
 #include "imaging/morphology.hpp"
 #include "segmentation/object_extractor.hpp"
-#include "synth/dataset.hpp"
 
 namespace slj {
 namespace {
@@ -59,22 +51,6 @@ std::vector<std::uint8_t> random_bytes(std::uint32_t seed, std::size_t n, int hi
   for (std::uint8_t& x : out) x = static_cast<std::uint8_t>(dist(rng));
   return out;
 }
-
-/// BandExecutor that runs bands serially in order: isolates the banded
-/// *partition* (carry stitching, per-band scratch) from concurrency.
-class SerialBandExecutor final : public BandExecutor {
- public:
-  explicit SerialBandExecutor(int bands) : bands_(bands) {}
-  int bands() const override { return bands_; }
-  void run_rows(int rows, void* ctx, RowFn fn) override {
-    for (int b = 0; b < bands_; ++b) {
-      fn(ctx, b, band_begin(rows, bands_, b), band_begin(rows, bands_, b + 1));
-    }
-  }
-
- private:
-  int bands_;
-};
 
 // ---- VecF64 primitives ------------------------------------------------------
 
@@ -248,6 +224,79 @@ TEST(SimdBytePlane, StoreFill01MatchesScalarIncludingSaturatedPlanes) {
   }
 }
 
+// ---- VecI32 and the window-sum primitives ----------------------------------
+
+using IA = simd::VecI32<Active>;
+using IS = simd::VecI32<ScalarBackend>;
+
+TEST(SimdVecI32, AddSubAndWideningLoadMatchScalar) {
+  const std::size_t n = 96;
+  std::mt19937 rng(12);
+  std::vector<std::int32_t> a(n), b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<std::int32_t>(rng() % 140001) - 70000;
+    b[i] = static_cast<std::int32_t>(rng() % 140001) - 70000;
+  }
+  for (const std::vector<std::uint8_t>& u8 : {random_bytes(13, n, 255), std::vector<std::uint8_t>(n, 0),
+                                              std::vector<std::uint8_t>(n, 255)}) {
+    for (std::size_t i = 0; i + IA::kLanes <= n; i += IA::kLanes) {
+      std::int32_t got[3][IA::kLanes];
+      (IA::load(a.data() + i) + IA::load(b.data() + i)).store(got[0]);
+      (IA::load(a.data() + i) - IA::load(b.data() + i)).store(got[1]);
+      (IA::load(a.data() + i) + IA::load_u8(u8.data() + i)).store(got[2]);
+      for (int l = 0; l < IA::kLanes; ++l) {
+        const std::size_t j = i + static_cast<std::size_t>(l);
+        std::int32_t want[3];
+        (IS::load(&a[j]) + IS::load(&b[j])).store(&want[0]);
+        (IS::load(&a[j]) - IS::load(&b[j])).store(&want[1]);
+        (IS::load(&a[j]) + IS::load_u8(&u8[j])).store(&want[2]);
+        for (int op = 0; op < 3; ++op) EXPECT_EQ(got[op][l], want[op]) << "op " << op << " j " << j;
+      }
+    }
+  }
+}
+
+TEST(SimdBytePlane, Deinterleave3MatchesScalar) {
+  for (const std::size_t n : kWidths) {
+    std::mt19937 rng(static_cast<std::uint32_t>(n) + 5u);
+    std::vector<std::int32_t> in(3 * n);
+    for (std::int32_t& v : in) v = static_cast<std::int32_t>(rng() % 1000000);
+    std::vector<std::int32_t> got(3 * n, -1), want(3 * n, -1);
+    simd::deinterleave3_i32<Active>(in.data(), got.data(), got.data() + n, got.data() + 2 * n, n);
+    simd::deinterleave3_i32<ScalarBackend>(in.data(), want.data(), want.data() + n,
+                                           want.data() + 2 * n, n);
+    EXPECT_EQ(got, want) << "n " << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(want[i], in[3 * i]) << "n " << n << " i " << i;
+      ASSERT_EQ(want[n + i], in[3 * i + 1]) << "n " << n << " i " << i;
+      ASSERT_EQ(want[2 * n + i], in[3 * i + 2]) << "n " << n << " i " << i;
+    }
+  }
+}
+
+TEST(SimdBytePlane, FindLastNonzeroMatchesScalarAcrossWidthsAndOffsets) {
+  for (const std::size_t n : kWidths) {
+    std::vector<std::uint8_t> plane(n + 7, 0);
+    std::mt19937 rng(static_cast<std::uint32_t>(n) * 17u);
+    for (std::size_t hits = 0; hits < std::max<std::size_t>(1, n / 8); ++hits) {
+      plane[rng() % plane.size()] = static_cast<std::uint8_t>(1 + rng() % 255);
+    }
+    for (std::size_t off = 0; off < 7; ++off) {
+      const std::uint8_t* p = plane.data() + off;
+      EXPECT_EQ(simd::find_last_nonzero<Active>(p, n), simd::find_last_nonzero<ScalarBackend>(p, n))
+          << "n " << n << " off " << off;
+    }
+    std::vector<std::uint8_t> zeros(n, 0);
+    EXPECT_EQ(simd::find_last_nonzero<Active>(zeros.data(), n), n) << "n " << n;
+    zeros[0] = 255;
+    EXPECT_EQ(simd::find_last_nonzero<Active>(zeros.data(), n), 0u) << "n " << n;
+    zeros[n - 1] = 1;
+    EXPECT_EQ(simd::find_last_nonzero<Active>(zeros.data(), n), n - 1) << "n " << n;
+    const std::vector<std::uint8_t> full(n, 255);
+    EXPECT_EQ(simd::find_last_nonzero<Active>(full.data(), n), n - 1) << "n " << n;
+  }
+}
+
 // ---- kernel-level SIMD parity -----------------------------------------------
 
 RgbImage random_rgb(std::uint32_t seed, int w, int h) {
@@ -261,37 +310,22 @@ RgbImage random_rgb(std::uint32_t seed, int w, int h) {
   return img;
 }
 
-void expect_tables_identical(const FrameWorkspace& got, const FrameWorkspace& want, int w, int h) {
-  const std::size_t n = (static_cast<std::size_t>(w) + 1) * (static_cast<std::size_t>(h) + 1);
-  const IntegralImage* gs[] = {&got.integral_r, &got.integral_g, &got.integral_b};
-  const IntegralImage* ws[] = {&want.integral_r, &want.integral_g, &want.integral_b};
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_TRUE(std::equal(gs[c]->raw(), gs[c]->raw() + n, ws[c]->raw())) << "channel " << c;
-  }
-}
-
 TEST(SimdKernelParity, FusedIntegralBuildMatchesScalarTwin) {
-  // Odd widths and heights: every tail path of the row kernels.
+  // Odd widths and heights; the twin is a table built pixel by pixel.
   const std::pair<int, int> sizes[] = {{1, 1}, {3, 2}, {7, 5}, {17, 9}, {64, 48}, {65, 47}};
-  FrameWorkspace simd_ws, scalar_ws;
+  FrameWorkspace ws;
   for (const auto& [w, h] : sizes) {
     const RgbImage img = random_rgb(static_cast<std::uint32_t>(w * 100 + h), w, h);
-    build_rgb_integrals(img, simd_ws);
-    build_rgb_integrals_scalar(img, scalar_ws);
-    expect_tables_identical(simd_ws, scalar_ws, w, h);
-  }
-}
-
-TEST(SimdKernelParity, BandedIntegralBuildMatchesScalarTwinAtEveryBandCount) {
-  const int w = 33, h = 29;
-  const RgbImage img = random_rgb(7, w, h);
-  FrameWorkspace scalar_ws;
-  build_rgb_integrals_scalar(img, scalar_ws);
-  FrameWorkspace banded_ws;
-  for (const int bands : {1, 2, 3, 4, 7}) {
-    SerialBandExecutor exec(bands);
-    build_rgb_integrals(img, banded_ws, &exec);
-    expect_tables_identical(banded_ws, scalar_ws, w, h);
+    build_rgb_integrals(img, ws);
+    const std::size_t n = (static_cast<std::size_t>(w) + 1) * (static_cast<std::size_t>(h) + 1);
+    const IntegralImage* got[] = {&ws.integral_r, &ws.integral_g, &ws.integral_b};
+    for (int c = 0; c < 3; ++c) {
+      const IntegralImage want(w, h, [&](int x, int y) {
+        const Rgb p = img.at(x, y);
+        return static_cast<double>(c == 0 ? p.r : c == 1 ? p.g : p.b);
+      });
+      EXPECT_TRUE(std::equal(got[c]->raw(), got[c]->raw() + n, want.raw())) << "channel " << c;
+    }
   }
 }
 
@@ -359,134 +393,6 @@ TEST(SimdKernelParity, ExtractIntoMatchesExtractOnOddFrameSizes) {
     EXPECT_EQ(ws.raw_mask, want.raw_mask) << w << "x" << h;
     EXPECT_EQ(ws.difference, want.difference) << w << "x" << h;
     EXPECT_DOUBLE_EQ(max_d, want.max_difference) << w << "x" << h;
-  }
-}
-
-// ---- banding determinism ----------------------------------------------------
-
-TEST(BandingDeterminism, ExtractIntoIsBitIdenticalAtEveryBandCount) {
-  synth::ClipSpec spec;
-  spec.seed = 11;
-  spec.frame_count = 4;
-  const synth::Clip clip = synth::generate_clip(spec);
-  seg::ObjectExtractor extractor;
-  extractor.set_background(clip.background);
-
-  FrameWorkspace ref_ws;
-  BinaryImage ref_sil;
-  FrameWorkspace band_ws;
-  BinaryImage band_sil;
-  for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-    const double ref_max = extractor.extract_into(clip.frames[f], ref_ws, ref_sil);
-    // Band counts that do not divide the frame height, exceed any worker
-    // count, and the degenerate single band.
-    for (const int bands : {1, 2, 3, 4, 5, 8}) {
-      SerialBandExecutor exec(bands);
-      const double got_max = extractor.extract_into(clip.frames[f], band_ws, band_sil, &exec);
-      EXPECT_EQ(band_sil, ref_sil) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.raw_mask, ref_ws.raw_mask) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.smoothed, ref_ws.smoothed) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(band_ws.difference, ref_ws.difference) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(got_max, ref_max) << "frame " << f << " bands " << bands;
-    }
-  }
-}
-
-TEST(BandingDeterminism, PoolExecutorMatchesSerialExecutor) {
-  synth::ClipSpec spec;
-  spec.seed = 23;
-  spec.frame_count = 3;
-  const synth::Clip clip = synth::generate_clip(spec);
-  seg::ObjectExtractor extractor;
-  extractor.set_background(clip.background);
-
-  FrameWorkspace ref_ws;
-  BinaryImage ref_sil;
-  FrameWorkspace pool_ws;
-  BinaryImage pool_sil;
-  core::WorkerPool pool(3);  // bands deliberately != worker count below
-  for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-    extractor.extract_into(clip.frames[f], ref_ws, ref_sil);
-    for (const int bands : {2, 4, 5}) {
-      core::PoolBandExecutor exec(pool, bands);
-      extractor.extract_into(clip.frames[f], pool_ws, pool_sil, &exec);
-      EXPECT_EQ(pool_sil, ref_sil) << "frame " << f << " bands " << bands;
-      EXPECT_EQ(pool_ws.smoothed, ref_ws.smoothed) << "frame " << f << " bands " << bands;
-    }
-  }
-}
-
-TEST(BandingDeterminism, ClipEngineBandedConfigMatchesUnbanded) {
-  synth::ClipSpec spec;
-  spec.seed = 5;
-  spec.frame_count = 6;
-  const synth::Clip clip = synth::generate_clip(spec);
-
-  core::ClipEngineConfig base;
-  base.workers = 2;
-  core::ClipEngine reference({}, base);
-  const core::ClipObservation want = reference.process(clip);
-
-  for (const int bands : {2, 4}) {
-    core::ClipEngineConfig banded = base;
-    banded.intra_frame_bands = bands;
-    core::ClipEngine engine({}, banded);
-    const core::ClipObservation got = engine.process(clip);
-    ASSERT_EQ(got.frame_count(), want.frame_count()) << "bands " << bands;
-    EXPECT_EQ(got.airborne, want.airborne) << "bands " << bands;
-    EXPECT_EQ(got.ground_row, want.ground_row) << "bands " << bands;
-    for (std::size_t f = 0; f < got.frames.size(); ++f) {
-      EXPECT_EQ(got.frames[f].silhouette, want.frames[f].silhouette)
-          << "bands " << bands << " frame " << f;
-      EXPECT_EQ(got.frames[f].raw_skeleton, want.frames[f].raw_skeleton)
-          << "bands " << bands << " frame " << f;
-      EXPECT_EQ(got.frames[f].bottom_row, want.frames[f].bottom_row)
-          << "bands " << bands << " frame " << f;
-    }
-  }
-}
-
-TEST(BandingDeterminism, TrackedBandedEngineMatchesUnbanded) {
-  synth::ClipSpec spec;
-  spec.seed = 40;
-  spec.frame_count = 5;
-  const synth::Clip clip = synth::generate_clip(spec);
-
-  core::ClipEngineConfig base;
-  base.workers = 2;
-  base.use_tracker = true;
-  core::ClipEngine reference({}, base);
-  const core::ClipObservation want = reference.process(clip);
-
-  core::ClipEngineConfig banded = base;
-  banded.intra_frame_bands = 3;
-  core::ClipEngine engine({}, banded);
-  const core::ClipObservation got = engine.process(clip);
-  ASSERT_EQ(got.frame_count(), want.frame_count());
-  EXPECT_EQ(got.airborne, want.airborne);
-  for (std::size_t f = 0; f < got.frames.size(); ++f) {
-    EXPECT_EQ(got.frames[f].silhouette, want.frames[f].silhouette) << "frame " << f;
-    EXPECT_EQ(got.frames[f].bottom_row, want.frames[f].bottom_row) << "frame " << f;
-  }
-}
-
-TEST(BandingDeterminism, BandedMedianFilterMatchesSerial) {
-  FrameWorkspace serial_ws;
-  FrameWorkspace band_ws;
-  BinaryImage serial_out, band_out;
-  for (const auto& [w, h] : {std::pair<int, int>{17, 11}, {64, 48}, {65, 1}}) {
-    std::mt19937 rng(static_cast<std::uint32_t>(w + 3 * h));
-    BinaryImage mask(w, h, 0);
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      mask.data()[i] = static_cast<std::uint8_t>(rng() % 2);
-    }
-    median_filter_binary_into(mask, 5, serial_ws.mask_integral, serial_out);
-    for (const int bands : {2, 3, 4}) {
-      SerialBandExecutor exec(bands);
-      median_filter_binary_into(mask, 5, band_ws.mask_integral, band_out, &exec,
-                                &band_ws.band_scratch);
-      EXPECT_EQ(band_out, serial_out) << w << "x" << h << " bands " << bands;
-    }
   }
 }
 
