@@ -53,13 +53,27 @@ void BM_MedianFilterBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_MedianFilterBinary);
 
+// The production kernel: word-parallel, into a reused workspace.
 void BM_ZhangSuenThinning(benchmark::State& state) {
+  const BinaryImage& sil = mid_silhouette();
+  FrameWorkspace ws;
+  BinaryImage skeleton;
+  for (auto _ : state) {
+    thin::zhang_suen_thin_into(sil, ws, skeleton);
+    benchmark::DoNotOptimize(skeleton.data().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ZhangSuenThinning);
+
+// The allocating per-pixel reference the parity tests compare against.
+void BM_ZhangSuenThinningOracle(benchmark::State& state) {
   const BinaryImage& sil = mid_silhouette();
   for (auto _ : state) {
     benchmark::DoNotOptimize(thin::zhang_suen_thin(sil));
   }
 }
-BENCHMARK(BM_ZhangSuenThinning);
+BENCHMARK(BM_ZhangSuenThinningOracle);
 
 void BM_SkeletonGraphCleanup(benchmark::State& state) {
   const BinaryImage skeleton = thin::zhang_suen_thin(mid_silhouette());

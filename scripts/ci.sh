@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, and run the full gtest suite via ctest.
-# Usage: scripts/ci.sh [build-dir] [--sanitize|--tsan|--tsan-stress|--replay|--analyze|--incident|--shuffle] [--simd-off]
+# Usage: scripts/ci.sh [build-dir] [--sanitize|--tsan|--tsan-stress|--replay|--analyze|--incident|--shuffle|--perfbench-smoke] [--simd-off]
 #   --sanitize     Debug build with ASan+UBSan (keeps the streaming/worker-pool
 #                  concurrency sanitizer-clean).
 #   --tsan         Debug build with ThreadSanitizer (pins that per-lane
@@ -39,6 +39,15 @@
 #                  `ctest -j$(nproc) --schedule-random --repeat until-fail:3`,
 #                  so tests that share files or global state and only pass
 #                  in one order (or one at a time) fail loudly.
+#   --perfbench-smoke
+#                  Runs the steady benchmark (perfbench/run.py) briefly on
+#                  both workloads with per-layer tracing: 2 s, seed 1,
+#                  --trace 1, built into <build-dir>/perfbench (or
+#                  $CARGO_TARGET_DIR). Fails unless each run's last line
+#                  reports "correct": true and "failed": 0, which puts
+#                  perfbench's output checks (seed-path bit identity, the
+#                  stream/batch equality) and its per-layer composition
+#                  self-check into CI. Timings are printed, not gated.
 #   --simd-off     Configure with -DSLJ_SIMD=OFF (the scalar reference
 #                  backend). Composes with any mode above: the SIMD and
 #                  scalar paths promise bit-identical output, so every lane
@@ -94,6 +103,9 @@ for arg in "$@"; do
       ;;
     --shuffle)
       MODE="shuffle"
+      ;;
+    --perfbench-smoke)
+      MODE="perfbench-smoke"
       ;;
     --analyze-full)
       MODE="analyze"
@@ -191,6 +203,23 @@ if [[ "$MODE" == "analyze" ]]; then
     echo "analyze: clang-tidy not found; skipping the .clang-tidy profile"
   fi
   echo "analyze: all gates passed (findings in $ARTIFACTS/)"
+  exit 0
+fi
+
+if [[ "$MODE" == "perfbench-smoke" ]]; then
+  export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$BUILD_DIR/perfbench}"
+  for workload in clip_report live_saturated; do
+    result="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+      | tee /dev/stderr | tail -n 1)"
+    python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench-smoke: %s reported correct=%s failed=%s"
+             % (sys.argv[1], r.get("correct"), r.get("failed")))
+print("perfbench-smoke: %s correct, 0 failed of %d" % (sys.argv[1], r["attempted"]))
+' "$workload" "$result"
+  done
   exit 0
 fi
 

@@ -12,7 +12,7 @@ Enforces seven invariants the compiler cannot see:
                    reserve/insert/append) are allowed only when the receiver
                    is rooted in a reference parameter or a local reference
                    alias — the sanctioned recycled-workspace idiom
-                   (`auto& cand = ws.thin_candidates_first;`). `throw`
+                   (`auto& rows = ws.thin_rows;`). `throw`
                    statements are exempt: they are the cold error path.
 
   unchecked-read   Deserializer functions (image_io.cpp, clip_io.cpp,

@@ -22,11 +22,14 @@
 namespace slj::core {
 
 /// Fixed-size pool of persistent worker threads driving index-space loops.
-/// One parallel_for runs at a time (calls are serialized by the caller);
-/// the calling thread participates, so a pool of size 1 still uses two lanes.
+/// One parallel_for runs at a time (calls are serialized by the caller).
+/// `workers` counts lanes, the calling thread included: the caller is lane 0
+/// and the pool spawns workers − 1 threads, so WorkerPool(1) owns no thread
+/// and runs every task on the caller.
 class WorkerPool {
  public:
-  /// `workers` = 0 picks the hardware concurrency (at least 1).
+  /// `workers` lanes (the caller plus workers − 1 threads); 0 picks the
+  /// hardware concurrency (at least 1).
   explicit WorkerPool(unsigned workers = 0);
   ~WorkerPool();
 
@@ -75,7 +78,8 @@ class WorkerPool {
 };
 
 struct ClipEngineConfig {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Concurrent lanes, the calling thread included (the pool spawns
+  /// workers − 1 threads, so lanes() == workers); 0 = hardware concurrency.
   unsigned workers = 0;
   /// Select the jumper blob with a BlobTracker instead of largest-component.
   /// Tracking is sequential within a clip, so frame-level parallelism is

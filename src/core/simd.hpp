@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #if !defined(SLJ_SIMD_FORCE_SCALAR)
 #if defined(__AVX2__)
@@ -568,6 +569,52 @@ inline std::size_t find_last_nonzero(const std::uint8_t* p, std::size_t n) {
     if (p[i - 1] != 0) return i - 1;
   }
   return n;
+}
+
+namespace detail {
+#if defined(SLJ_SIMD_SSE2) || defined(SLJ_SIMD_AVX2)
+/// Bit i set iff p[i] != 0, for the 16 bytes at p.
+inline std::uint64_t nonzero_bits16(const std::uint8_t* p) {
+  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const int zeros = _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128()));
+  return static_cast<std::uint64_t>(static_cast<std::uint16_t>(~zeros));
+}
+#endif
+#if defined(SLJ_SIMD_AVX2)
+/// Bit i set iff p[i] != 0, for the 32 bytes at p.
+inline std::uint64_t nonzero_bits32(const std::uint8_t* p) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  const int zeros = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_setzero_si256()));
+  return static_cast<std::uint64_t>(~static_cast<std::uint32_t>(zeros));
+}
+#endif
+}  // namespace detail
+
+/// Packs a byte plane into bits: bit i % 64 of out[i / 64] is set iff
+/// p[i] != 0, for i in [0, n); the bits of the last word past n are 0. The
+/// thinning kernel's row packing. Pure data movement, so every backend
+/// writes the same words. Each word is built from vector blocks (32 bytes,
+/// then 16) and a scalar tail; the scalar twin and NEON have no blocks.
+template <class Backend>
+inline void pack_nonzero_bits(const std::uint8_t* p, std::size_t n, std::uint64_t* out) {
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::uint8_t* q = p + base;
+    const std::size_t m = n - base < 64 ? n - base : 64;
+    std::uint64_t word = 0;
+    std::size_t i = 0;
+#if defined(SLJ_SIMD_AVX2)
+    if constexpr (std::is_same_v<Backend, Avx2Backend>) {
+      for (; i + 32 <= m; i += 32) word |= detail::nonzero_bits32(q + i) << i;
+    }
+#endif
+#if defined(SLJ_SIMD_SSE2) || defined(SLJ_SIMD_AVX2)
+    if constexpr (!std::is_same_v<Backend, ScalarBackend>) {
+      for (; i + 16 <= m; i += 16) word |= detail::nonzero_bits16(q + i) << i;
+    }
+#endif
+    for (; i < m; ++i) word |= static_cast<std::uint64_t>(q[i] != 0) << i;
+    out[base / 64] = word;
+  }
 }
 
 /// out[i] = (labels[i] == value) ? 1 : 0 for i in [0, n). The

@@ -102,7 +102,9 @@ class StreamSession {
 };
 
 struct StreamManagerConfig {
-  /// Worker threads for tick(); 0 = hardware concurrency.
+  /// Concurrent lanes for tick(), the calling thread included (the pool
+  /// spawns workers − 1 threads, so lanes() == workers); 0 = hardware
+  /// concurrency.
   unsigned workers = 0;
   /// Defaults for sessions opened without an explicit config.
   StreamSessionConfig session;

@@ -1,7 +1,7 @@
 // FrameWorkspace: every scratch buffer the per-frame vision pipeline needs —
 // the integer window-sum kernel's rows, difference and mask images,
 // connected-component and hole-fill scratch, the skeleton-graph maps, and
-// the thinning frontier state. One workspace per worker lane (ClipEngine)
+// the bit-packed thinning rows. One workspace per worker lane (ClipEngine)
 // or per live session (StreamEngine) makes steady-state frame processing
 // free of full-frame heap allocations: every buffer is sized on the first
 // frame and reused for the rest of the run.
@@ -53,14 +53,9 @@ struct FrameWorkspace {
   std::vector<PointI> junction_stack;  ///< DFS stack for the above
   BinaryImage graph_visited;           ///< pure-cycle sweep "visited" map
 
-  // --- Zhang–Suen frontier scratch (zhang_suen_thin_into) ---
-  /// Pixels whose 3×3 neighbourhood changed since they were last evaluated
-  /// for the first / second sub-iteration; only these can change answer.
-  std::vector<std::uint32_t> thin_candidates_first;
-  std::vector<std::uint32_t> thin_candidates_second;
-  std::vector<std::uint32_t> thin_eval;       ///< candidates being consumed
-  std::vector<std::uint32_t> thin_deletions;  ///< simultaneous-deletion list
-  std::vector<std::uint8_t> thin_marks;       ///< bit0/bit1: queued per type
+  // --- Zhang–Suen scratch (zhang_suen_thin_into) ---
+  std::vector<std::uint64_t> thin_rows;   ///< the box packed 64 pixels a word, guard-padded
+  std::vector<std::uint64_t> thin_above;  ///< the row above as it stood before the sub-iteration
 };
 
 /// Builds the three per-channel summed-area tables of `img` into

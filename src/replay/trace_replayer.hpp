@@ -36,9 +36,9 @@
 namespace slj::replay {
 
 struct ReplayOptions {
-  /// Worker threads for the replaying StreamManager (0 = hardware
-  /// concurrency). Golden parity must hold at *any* value — that is the
-  /// worker-count-invariance regression the corpus tests pin.
+  /// Lanes of the replaying StreamManager, the calling thread included
+  /// (0 = hardware concurrency). Golden parity must hold at *any* value —
+  /// that is the worker-count-invariance regression the corpus tests pin.
   unsigned workers = 1;
   /// 0.0 = posteriors must be bit-identical (in-process record/replay).
   /// The checked-in corpus uses a small tolerance instead, because libm

@@ -28,20 +28,23 @@ struct ThinningStats {
 BinaryImage zhang_suen_thin(const BinaryImage& img, ThinningStats* stats = nullptr);
 
 /// Allocation-free fast path used by the per-frame pipeline: thins `img`
-/// into `out` using the workspace's frontier scratch. Two optimisations over
-/// zhang_suen_thin, neither changing a single output bit (the parity suite
-/// pins this):
-///  - interior pixels read their 3×3 ring with direct row-pointer loads
-///    instead of at_or bounds checks (only the one-pixel border pays them);
-///  - after the first full pass, a sub-iteration only revisits pixels whose
-///    3×3 neighbourhood was touched by a deletion since that pixel was last
-///    evaluated for that sub-iteration type. Any other pixel provably keeps
-///    its previous (non-deletable) answer, so later passes cost O(frontier)
-///    instead of O(W·H).
-/// Both run only inside the foreground's bounding box grown by one pixel:
-/// everything outside it is background, and the ring keeps every 3×3
-/// neighbourhood the passes read inside the box or off the frame.
-/// `out` must not alias `img`. Stats match zhang_suen_thin exactly.
+/// into `out` with the same operator, 64 pixels at a time. Zhang–Suen is a
+/// parallel operator — every deletion of a sub-iteration is decided from
+/// the image as it stood when the sub-iteration began — so each decision is
+/// a fixed boolean function of the 3×3 neighbourhood and can be evaluated
+/// on bit planes:
+///  - the foreground's bounding box, grown by one pixel, is packed into u64
+///    words (ws.thin_rows); outside it everything is background and stays
+///    so, and pixels outside the box read as 0;
+///  - P2..P9 of 64 pixels are the rows above, at and below shifted by one
+///    bit, carrying across word boundaries;
+///  - 2 <= B(P1) <= 6 comes from a full-adder count of the eight planes,
+///    A(P1) == 1 from a seen-once / seen-twice pass over the eight 0→1
+///    ring steps, and the product conditions are plain ANDs;
+///  - deletions apply simultaneously (row &= ~del), popcount(del) feeds
+///    `removed`, and passes stop after the first that removes nothing.
+/// Output and stats therefore match zhang_suen_thin bit for bit (the parity
+/// suite pins this). `out` must not alias `img`.
 SLJ_HOT_PATH void zhang_suen_thin_into(const BinaryImage& img, FrameWorkspace& ws, BinaryImage& out,
                           ThinningStats* stats = nullptr);
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "synth/dataset.hpp"
@@ -177,6 +180,27 @@ TEST(WorkerPool, PropagatesTaskExceptions) {
 TEST(WorkerPool, ZeroCountIsANoOp) {
   WorkerPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not run"; });
+}
+
+TEST(WorkerPool, WorkersCountLanesIncludingTheCaller) {
+  // `workers` is the lane count: the caller plus workers - 1 pool threads;
+  // 0 means one lane per hardware thread.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::pair<unsigned, unsigned> cases[] = {{1u, 1u}, {2u, 2u}, {4u, 4u}, {0u, hardware}};
+  for (const auto& [workers, lanes] : cases) {
+    WorkerPool pool(workers);
+    EXPECT_EQ(pool.size(), lanes - 1) << "workers " << workers;
+    std::atomic<std::size_t> max_lane{0};
+    pool.parallel_for_lanes(64, [&](std::size_t lane, std::size_t) {
+      std::size_t seen = max_lane.load();
+      while (lane > seen && !max_lane.compare_exchange_weak(seen, lane)) {
+      }
+    });
+    EXPECT_LT(max_lane.load(), lanes) << "workers " << workers;
+    ClipEngineConfig config;
+    config.workers = workers;
+    EXPECT_EQ(ClipEngine({}, config).lanes(), lanes) << "workers " << workers;
+  }
 }
 
 }  // namespace

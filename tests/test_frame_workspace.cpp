@@ -1,6 +1,6 @@
 // Golden parity suite for the FrameWorkspace fast path: the workspace
 // pipeline — integer-kernel window means, into-style segmentation run
-// inside the foreground's box, frontier Zhang–Suen — must produce
+// inside the foreground's box, word-parallel Zhang–Suen — must produce
 // bit-identical results to the straightforward (seed) implementations it
 // shadows, at every worker count, via the StreamEngine, and on scenes that
 // stress the box (foreground on every frame edge, empty frames, a mask
@@ -151,7 +151,7 @@ TEST(FrameWorkspaceParity, IntoVariantsMatchReference) {
   }
 }
 
-TEST(FrameWorkspaceParity, FrontierThinningMatchesReferenceAcrossSeeds) {
+TEST(FrameWorkspaceParity, PackedThinningMatchesReferenceAcrossSeeds) {
   FrameWorkspace ws;  // deliberately reused across shapes and sizes
   BinaryImage out;
   for (const std::uint32_t seed : {1u, 7u, 13u, 42u, 99u, 123u, 2024u, 31337u}) {

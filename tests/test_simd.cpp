@@ -297,6 +297,30 @@ TEST(SimdBytePlane, FindLastNonzeroMatchesScalarAcrossWidthsAndOffsets) {
   }
 }
 
+TEST(SimdBytePlane, PackNonzeroBitsMatchesScalarAndTheDefinition) {
+  for (std::size_t n : kWidths) {
+    for (const std::size_t extra : {std::size_t{0}, std::size_t{64}, std::size_t{128}}) {
+      n += extra;  // multi-word rows: 65..228 bytes
+      // Mostly-zero bytes with sparse nonzero values, saturated ones included.
+      std::vector<std::uint8_t> plane = random_bytes(static_cast<std::uint32_t>(n) + 11u, n + 7, 3);
+      for (std::uint8_t& v : plane) v = v == 3 ? 255 : v == 2 ? 1 : 0;
+      const std::size_t words = (n + 63) / 64;
+      for (std::size_t off = 0; off < 7; ++off) {
+        const std::uint8_t* p = plane.data() + off;
+        std::vector<std::uint64_t> got(words, ~0ull), want(words, ~0ull);
+        simd::pack_nonzero_bits<Active>(p, n, got.data());
+        simd::pack_nonzero_bits<ScalarBackend>(p, n, want.data());
+        EXPECT_EQ(got, want) << "n " << n << " off " << off;
+        for (std::size_t i = 0; i < 64 * words; ++i) {
+          const bool bit = (want[i / 64] >> (i % 64)) & 1u;
+          ASSERT_EQ(bit, i < n && p[i] != 0) << "n " << n << " off " << off << " i " << i;
+        }
+      }
+      n -= extra;
+    }
+  }
+}
+
 // ---- kernel-level SIMD parity -----------------------------------------------
 
 RgbImage random_rgb(std::uint32_t seed, int w, int h) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/clip_engine.hpp"
@@ -138,6 +141,17 @@ TEST(StreamSession, ReportMatchesBatchDetectFaults) {
   const JumpReport final_report = session.finish();
   EXPECT_EQ(final_report.total_count(), 6);
   EXPECT_EQ(final_report.passed_count(), batch.passed_count());
+}
+
+TEST(StreamManager, WorkersCountLanesIncludingTheCaller) {
+  const pose::PoseDbnClassifier classifier;
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::pair<unsigned, unsigned> cases[] = {{1u, 1u}, {2u, 2u}, {4u, 4u}, {0u, hardware}};
+  for (const auto& [workers, lanes] : cases) {
+    StreamManagerConfig config;
+    config.workers = workers;
+    EXPECT_EQ(StreamManager(classifier, {}, config).lanes(), lanes) << "workers " << workers;
+  }
 }
 
 TEST(StreamManager, TickMatchesIndividualSessions) {
